@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check fmt vet lint race bench benchsmoke crashsweep fuzzsmoke allocguard monitorsmoke shardsmoke eventsmoke trafficsmoke forksmoke nightly profile
+.PHONY: all build test check fmt vet lint race cpusweep bench benchsmoke perfbenchsmoke crashsweep fuzzsmoke allocguard monitorsmoke shardsmoke eventsmoke trafficsmoke forksmoke nightly profile
 
 all: build test
 
@@ -12,9 +12,11 @@ test:
 
 # check is the pre-commit gate: formatting, vet, the full test suite under
 # the race detector, the zero-allocation guards (which the race build must
-# skip, hence the separate non-race run), a one-iteration pass over every
-# benchmark so the perf harness can't silently rot, a bounded commit-point
-# crash sweep, a short fuzz of the trace decoders, the live-monitor smoke
+# skip, hence the separate non-race run), the concurrency-sensitive packages
+# at several GOMAXPROCS values, a one-iteration pass over every benchmark so
+# the perf harness can't silently rot, a build-and-smoke of the perfbench
+# module, a bounded commit-point crash sweep, a short fuzz of the trace
+# decoders, the live-monitor smoke
 # (real kindle binary scraped over HTTP mid-run), the sharded-replay
 # smoke (real binary, -shards 1 vs 4 stats dumps diffed), and the
 # event-clock smoke (real binary, stepped vs -event-clock dumps diffed),
@@ -22,7 +24,7 @@ test:
 # stepped and once with -event-clock, all three dumps diffed), and the
 # snapshot/fork smoke (real binary, -snapshot-out then two -snapshot-in
 # resumes, all dumps diffed against a cold run).
-check: fmt vet race allocguard benchsmoke crashsweep fuzzsmoke monitorsmoke shardsmoke eventsmoke trafficsmoke forksmoke
+check: fmt vet race allocguard cpusweep benchsmoke perfbenchsmoke crashsweep fuzzsmoke monitorsmoke shardsmoke eventsmoke trafficsmoke forksmoke
 
 # allocguard pins the replay fast path's zero-allocation steady state (see
 # allocguard_test.go); it needs a non-race build because race instrumentation
@@ -40,8 +42,23 @@ vet:
 race:
 	$(GO) test -race ./...
 
+# cpusweep reruns the packages whose behaviour depends on GOMAXPROCS (the
+# decode pool's default worker count, sharded and streamed replay) and the
+# zero-allocation guards at several CPU counts, so no test can pass only
+# because of the host's core count.
+cpusweep:
+	$(GO) test -count=1 -cpu 1,2,8 ./internal/trace ./internal/core ./internal/prep
+	$(GO) test -count=1 -cpu 1,2 -run ZeroAlloc .
+
 benchsmoke:
 	$(GO) test -bench . -benchtime 1x -run XXX ./...
+
+# perfbenchsmoke builds and tests the perfbench module (the repository
+# benchmark behind BENCHMARK.json). It is a separate module outside the root
+# ./..., so without this target an API change that breaks it would only
+# surface when the benchmark runs.
+perfbenchsmoke:
+	$(GO) -C perfbench test ./...
 
 # crashsweep replays the workload with a power failure injected at NVM
 # commit-point granularity (bounded scale; see EXPERIMENTS.md). -check fails
@@ -50,9 +67,12 @@ crashsweep:
 	$(GO) run ./cmd/kindle-bench -experiment crash-sweep -scale 0.0625 -check
 
 # fuzzsmoke runs the checked-in corpus plus 10 seconds of new coverage over
-# the v1/v2 binary trace decoders (see internal/trace/fuzz_test.go).
+# each trace fuzz target: the v1/v2 binary decoders checked against the
+# sequential reference, and the chunk-index scan plus range decode (see
+# internal/trace/fuzz_test.go). go test fuzzes one target per run.
 fuzzsmoke:
-	$(GO) test -run XXX -fuzz FuzzDecode -fuzztime 10s ./internal/trace
+	$(GO) test -run XXX -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run XXX -fuzz '^FuzzChunkIndex$$' -fuzztime 10s ./internal/trace
 
 # monitorsmoke builds the real kindle binary, runs a tiny replay with
 # -monitor, and asserts over HTTP that /metrics parses as Prometheus text

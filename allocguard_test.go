@@ -52,8 +52,9 @@ func TestReplayStepZeroAlloc(t *testing.T) {
 }
 
 // TestStreamNextZeroAlloc: after the decode buffers reach chunk size, the
-// v2 streamed source (including its read-ahead goroutine: chunk read,
-// DEFLATE inflate, varint decode) must not allocate per batch.
+// v2 streamed source at one decode worker (reader framing, DEFLATE
+// inflate, varint decode) must not allocate per batch. The worker count is
+// pinned so the guard tests the same pool on every host.
 func TestStreamNextZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -78,13 +79,13 @@ func TestStreamNextZeroAlloc(t *testing.T) {
 	if err := trace.EncodeV2(&buf, img, trace.StreamOptions{ChunkRecords: chunkRecs}); err != nil {
 		t.Fatal(err)
 	}
-	src, err := trace.OpenStream(bytes.NewReader(buf.Bytes()))
+	src, err := trace.OpenStreamConfig(bytes.NewReader(buf.Bytes()), trace.StreamConfig{DecodeWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	// Warm-up: the first batches grow the disk/raw/record buffers; the
-	// chunks that follow reuse them.
+	// Warm-up: the first batches grow every slot's disk/record buffers and
+	// the worker's raw buffer; the chunks that follow reuse them.
 	for i := 0; i < 8; i++ {
 		if _, err := src.Next(); err != nil {
 			t.Fatal(err)
@@ -104,10 +105,10 @@ func TestStreamNextZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestStreamNextZeroAllocPipelined: the same guard for the pipelined
-// decoder. AllocsPerRun counts mallocs across ALL goroutines, so this pins
-// the whole pool — reader framing, worker inflate+decode, emitter reorder —
-// to recycled buffers once the pools are warm.
+// TestStreamNextZeroAllocPipelined: the same guard for a four-worker
+// pool. AllocsPerRun counts mallocs across ALL goroutines, so this pins the
+// whole pool — reader framing, every worker's inflate+decode, Next's
+// in-order slot hand-off — to recycled buffers once the ring is warm.
 func TestStreamNextZeroAllocPipelined(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -137,7 +138,7 @@ func TestStreamNextZeroAllocPipelined(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	// Warm-up: let every pooled disk and record buffer cycle through the
+	// Warm-up: let every slot's disk and record buffer cycle through the
 	// pipeline and grow to chunk size.
 	for i := 0; i < 16; i++ {
 		if _, err := src.Next(); err != nil {

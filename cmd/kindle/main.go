@@ -52,7 +52,7 @@ func main() {
 	statsInterval := flag.Duration("stats-interval", 0, "dump gem5 interval stat blocks every simulated duration (0 = off)")
 	monitorAddr := flag.String("monitor", "", "serve live telemetry on this HTTP address (e.g. :8090): /metrics, /events, /progress, /debug/pprof/")
 	monitorHold := flag.Duration("monitor-hold", 0, "keep the monitor endpoint serving this long after the run completes")
-	decodeWorkers := flag.Int("decode-workers", 0, "v2 chunk-decode worker pool size (0 = GOMAXPROCS, 1 = serial)")
+	decodeWorkers := flag.Int("decode-workers", 0, "v2 chunk-decode worker pool size (0 = GOMAXPROCS; 1 still overlaps decode with replay)")
 	eventClock := flag.Bool("event-clock", false, "advance the clock event-to-event instead of stepping cycle groups; stats are identical either way, idle-heavy runs finish faster")
 	idleAfter := flag.Duration("idle-after", 0, "keep the machine idling this much simulated time after the replay (timers keep firing); mainly for exercising -event-clock")
 	idleTick := flag.Duration("idle-tick", 10*time.Microsecond, "cycle-group grain for -idle-after idling")
@@ -477,7 +477,7 @@ func openSource(path, benchmark string, small bool, decodeWorkers int) (trace.Re
 }
 
 // decodeGauges returns a /metrics gauge source for the decode pool's stall
-// counters, or nil when the source has no pool (serial or materialized).
+// counters, or nil when the source has no pool (a v1 or materialized image).
 func decodeGauges(src trace.RecordSource) func() map[string]float64 {
 	if is, ok := src.(*prep.ImageStream); ok {
 		src = is.DecodeSource()

@@ -19,8 +19,8 @@ type Report struct {
 	RecordsPerSec float64 `json:"records_per_sec"`
 	// StreamRecordsPerSec is the same metric for
 	// BenchmarkStreamReplayThroughput, replaying through the chunked v2
-	// decoder with read-ahead. Zero in reports from before the streaming
-	// pipeline existed.
+	// decode pool. Zero in reports from before the streaming pipeline
+	// existed.
 	StreamRecordsPerSec float64 `json:"stream_records_per_sec,omitempty"`
 	// StreamVsMaterialized records StreamRecordsPerSec/RecordsPerSec for
 	// human readers of the snapshot; WriteFile keeps it in sync and
@@ -128,7 +128,7 @@ func (r *Report) WriteFile(path string) error {
 
 // Ratio returns the streamed-to-materialized throughput ratio, the tracked
 // measure of what chunked decode costs the replay pipeline on this host
-// (read-ahead hides it only when a spare core exists). Zero when either
+// (the decode pool hides it only when a spare core exists). Zero when either
 // throughput is missing.
 func (r *Report) Ratio() float64 {
 	if r.RecordsPerSec <= 0 || r.StreamRecordsPerSec <= 0 {

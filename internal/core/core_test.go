@@ -318,7 +318,7 @@ func TestRepeatedCrashRestartValidation(t *testing.T) {
 // TestStreamReplayMatchesMaterialized pins result determinism across the
 // two replay paths: streaming a v2-encoded image through LaunchStream must
 // produce exactly the simulated clock and statistics of replaying the
-// materialized image, chunk boundaries and read-ahead notwithstanding.
+// materialized image, chunk boundaries and pipelined decode notwithstanding.
 func TestStreamReplayMatchesMaterialized(t *testing.T) {
 	img := smallImage(t)
 

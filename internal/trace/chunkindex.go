@@ -102,7 +102,7 @@ func (ix *ChunkIndex) RangeTotal(lo, hi int) int {
 // source seeks it and owns its position until Close, which does not close
 // rs. The source decodes synchronously on the caller's goroutine —
 // sharded replay gets its concurrency from running many ranges at once,
-// not from read-ahead inside one.
+// not from a decode pool inside each one.
 func (ix *ChunkIndex) OpenRange(rs io.ReadSeeker, lo, hi int) (RecordSource, error) {
 	if lo < 0 || hi > len(ix.Chunks) || lo > hi {
 		return nil, fmt.Errorf("trace: chunk range [%d, %d) outside image of %d chunks", lo, hi, len(ix.Chunks))
@@ -133,6 +133,7 @@ type v2RangeSource struct {
 	total    int
 	recBase  int
 
+	disk       []byte
 	dec        chunkDecoder
 	lastOffs   []uint64
 	buf        []Record
@@ -159,10 +160,10 @@ func (s *v2RangeSource) Next() ([]Record, error) {
 	if f.basePeriod < s.lastPeriod {
 		return nil, errBasePeriodBackwards(f, s.lastPeriod)
 	}
-	if err := s.dec.readDisk(s.c, f); err != nil {
+	if s.disk, err = readDisk(s.c, f, s.disk); err != nil {
 		return nil, err
 	}
-	payload, err := s.dec.inflatePayload(f, s.dec.disk)
+	payload, err := s.dec.inflatePayload(f, s.disk)
 	if err != nil {
 		return nil, err
 	}

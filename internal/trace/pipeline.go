@@ -10,92 +10,88 @@ import (
 // Pipelined v2 decode: the chunked format's delta state resets at every
 // chunk boundary, so chunks are independently decodable by design — the
 // only serial work left in the stream is framing (chunk lengths sit in the
-// frame headers) and ordering. v2PipelineSource exploits that:
+// frame headers) and ordering. v2PipelineSource exploits that with a fixed
+// ring of slots:
 //
-//	reader ──jobs──▶ workers (decompress+decode) ──results──▶ emitter ──out──▶ Next
+//	reader ──frames chunk k into slot k mod n──▶ workers ──slot.done──▶ Next
 //
-// One reader goroutine splits the stream into framed compressed chunks and
-// hands them to a bounded worker pool; each worker owns its inflater and
-// decode scratch and writes into a pooled record buffer; a reorder buffer
-// in the emitter releases decoded batches strictly in chunk order, so the
-// consumer sees the exact record sequence — and the exact error order —
-// of the serial decoder. Buffers recycle through two fixed channels
-// (compressed bytes, decoded records), preserving the zero-alloc steady
-// state the CI guards pin.
+// One reader goroutine frames chunks and reads their compressed payloads,
+// each into the slot the chunk owns; a pool of workers, each with its own
+// inflater and decode scratch, decodes slots into the slot's record buffer
+// and signals the slot's done channel; Next waits on exactly the next slot
+// in stream order, so the consumer sees the exact record sequence — and
+// the exact error order — of a sequential decode. The reader reuses a slot
+// only after Next has released the chunk it held, so the ring bounds
+// resident chunks and the warm steady state allocates nothing (the
+// zero-alloc CI guards pin this).
 
 // DecodeStats samples the pipelined decoder's progress and stall counters.
-// Stalls localize the bottleneck: reorder stalls mean the emitter sat on
-// out-of-order chunks waiting for a straggler decode (decode-bound; more
-// workers or less compression helps), buffer stalls mean the reader waited
-// for the consumer to hand record buffers back (replay-bound; the pipeline
-// is keeping up). The monitor surfaces these as kindle_decode_* gauges.
+// Stalls localize the bottleneck: reorder stalls mean the consumer waited on
+// a straggler decode while a later chunk was already done (decode-bound;
+// more workers or less compression helps), buffer stalls mean the reader
+// waited for the consumer to release a slot (replay-bound; the pipeline is
+// keeping up). The monitor surfaces these as kindle_decode_* gauges.
 type DecodeStats struct {
 	// Workers is the decode pool size.
 	Workers int
 	// Chunks counts decoded chunks released to the consumer.
 	Chunks uint64
-	// ReorderStalls counts emitter waits with at least one out-of-order
-	// chunk parked in the reorder buffer; ReorderStallNs is the time spent
-	// in them.
+	// ReorderStalls counts Next waits on the next chunk in stream order
+	// while a later chunk was already decoded; ReorderStallNs is the time
+	// spent in them.
 	ReorderStalls  uint64
 	ReorderStallNs uint64
-	// BufferStalls counts reader waits for a free record buffer before
-	// dispatching a chunk; BufferStallNs is the time spent in them.
+	// BufferStalls counts reader waits for a free slot before framing a
+	// chunk; BufferStallNs is the time spent in them.
 	BufferStalls  uint64
 	BufferStallNs uint64
 }
 
-// DecodeStatsSource is implemented by sources that can report pipelined-
-// decode stall counters; sample with a type assertion. The serial decoder
-// does not implement it (it has no pool to stall).
+// DecodeStatsSource is implemented by sources that report decode-pool stall
+// counters — every v2 stream opened with OpenStream or OpenStreamConfig;
+// sample with a type assertion.
 type DecodeStatsSource interface {
 	DecodeStats() DecodeStats
 }
 
-// pipeJob is one framed compressed chunk travelling reader → worker. The
-// reader attaches the pooled record buffer the worker will decode into:
-// acquiring buffers in seq order is what makes the pipeline deadlock-free —
-// the lowest undecoded chunk always already owns a buffer, so parked
-// out-of-order results can never starve the chunk the emitter needs next.
-type pipeJob struct {
-	seq     int
-	frame   chunkFrame
-	disk    []byte
-	buf     []Record
-	recBase int // stream index of the chunk's first record (error text)
-}
-
-// pipeResult is one decoded chunk (or its error) travelling worker →
-// emitter. terminal results come from the reader instead: the stream ended
-// (err == io.EOF after a clean footer) or failed at frame level at this
-// seq, and no results with a higher seq will ever arrive.
-type pipeResult struct {
-	seq        int
+// pipeSlot is one ring slot. The reader fills frame, disk and recBase and
+// hands the slot to a worker, which fills recs, lastPeriod and err; a slot
+// whose chunk ends the stream (a frame or payload read error, or the footer
+// check, io.EOF when clean) skips the workers and carries only err. Either
+// way done receives exactly one signal per use, and the channel operations
+// order every field access between the three goroutines.
+type pipeSlot struct {
 	frame      chunkFrame
+	disk       []byte
+	recBase    int // stream index of the chunk's first record (error text)
 	recs       []Record
 	lastPeriod uint64
 	err        error
-	terminal   bool
+	done       chan struct{}
 }
 
-// v2PipelineSource is the pipelined v2 decoder behind OpenStreamConfig for
-// DecodeWorkers > 1.
+// v2PipelineSource is the v2 decoder behind OpenStreamConfig.
 type v2PipelineSource struct {
 	h       *streamHeader
 	total   int
 	workers int
 
-	out      chan v2Batch
-	stop     chan struct{}
-	jobs     chan pipeJob
-	results  chan pipeResult
-	diskFree chan []byte
-	recFree  chan []Record
+	slots []pipeSlot
+	// free holds one token per slot not held by the reader, a worker or
+	// the consumer; the reader takes one before framing each chunk.
+	free chan struct{}
+	jobs chan *pipeSlot
+	stop chan struct{}
 
-	cur       []Record
+	// Consumer state, touched only by Next and Close.
+	next       int // stream index of the chunk Next returns next
+	lastPeriod uint64
+	ended      bool
+
 	closeOnce sync.Once
 	wg        sync.WaitGroup
 
+	decoded        atomic.Uint64 // worker completions, for reorder-stall detection
 	chunks         atomic.Uint64
 	reorderStalls  atomic.Uint64
 	reorderStallNs atomic.Uint64
@@ -103,39 +99,31 @@ type v2PipelineSource struct {
 	bufferStallNs  atomic.Uint64
 }
 
-// newPipelineSource starts the decode pipeline: one reader, workers
-// decoders, one emitter. The reader owns c until the pipeline stops.
+// newPipelineSource starts the decode pipeline: one reader and workers
+// decoders over a ring of workers+2 slots — one per worker, one for the
+// batch the consumer holds, and one the reader frames ahead so the workers
+// never wait on framing. The reader owns c until the pipeline stops.
 func newPipelineSource(c *countingReader, h *streamHeader, total, workers int) *v2PipelineSource {
-	// Buffer accounting: every record buffer lives in exactly one place —
-	// the free channel, a job in flight (the reader attaches buffers in seq
-	// order), the emitter's park list or the consumer — so a free-channel
-	// send never blocks and the park list (one slot past the buffer count)
-	// never overflows. The compressed-payload buffers circulate reader →
-	// worker the same way.
-	nRecBufs := workers + 2
+	n := workers + 2
 	s := &v2PipelineSource{
-		h:        h,
-		total:    total,
-		workers:  workers,
-		out:      make(chan v2Batch, 1),
-		stop:     make(chan struct{}),
-		jobs:     make(chan pipeJob, workers),
-		results:  make(chan pipeResult, nRecBufs),
-		diskFree: make(chan []byte, workers+2),
-		recFree:  make(chan []Record, nRecBufs),
+		h:       h,
+		total:   total,
+		workers: workers,
+		slots:   make([]pipeSlot, n),
+		free:    make(chan struct{}, n),
+		// Sized to the slot count, so the reader never blocks handing off.
+		jobs: make(chan *pipeSlot, n),
+		stop: make(chan struct{}),
 	}
-	for i := 0; i < cap(s.diskFree); i++ {
-		s.diskFree <- nil
+	for i := range s.slots {
+		s.slots[i].done = make(chan struct{}, 1)
+		s.free <- struct{}{}
 	}
-	for i := 0; i < nRecBufs; i++ {
-		s.recFree <- nil
-	}
-	s.wg.Add(2 + workers)
+	s.wg.Add(1 + workers)
 	go s.readLoop(c)
 	for i := 0; i < workers; i++ {
 		go s.decodeLoop()
 	}
-	go s.emitLoop(nRecBufs)
 	return s
 }
 
@@ -143,28 +131,54 @@ func (s *v2PipelineSource) Benchmark() string { return s.h.benchmark }
 func (s *v2PipelineSource) Areas() []Area     { return s.h.areas }
 func (s *v2PipelineSource) Total() int        { return s.total }
 
+// Next returns the next chunk's records in stream order, waiting for its
+// slot, and releases the previous batch's slot to the reader.
 func (s *v2PipelineSource) Next() ([]Record, error) {
-	if s.cur != nil {
-		s.recFree <- s.cur[:0] // pool-sized channel: never blocks
-		s.cur = nil
-	}
-	b, ok := <-s.out
-	if !ok {
+	if s.ended {
 		return nil, io.EOF
 	}
-	if b.err != nil {
-		return nil, b.err
+	if s.next > 0 {
+		s.free <- struct{}{} // one token per slot: never blocks
 	}
-	s.cur = b.recs
-	return b.recs, nil
+	sl := &s.slots[s.next%len(s.slots)]
+	// Loaded before polling the slot: a chunk counted here is already
+	// done, so if this slot is not, a later chunk is.
+	later := s.decoded.Load() > uint64(s.next)
+	select {
+	case <-sl.done:
+	default:
+		if later {
+			// A straggler decode is head-of-line blocking the consumer.
+			s.reorderStalls.Add(1)
+			t0 := time.Now()
+			<-sl.done
+			s.reorderStallNs.Add(uint64(time.Since(t0)))
+		} else {
+			<-sl.done
+		}
+	}
+	switch {
+	case sl.frame.count > 0 && sl.frame.basePeriod < s.lastPeriod:
+		// Only the consumer knows the previous chunk's last period; a
+		// sequential decode checks it before reading the payload, so it
+		// takes precedence over the slot's payload or decode error.
+		s.ended = true
+		return nil, errBasePeriodBackwards(sl.frame, s.lastPeriod)
+	case sl.err != nil:
+		s.ended = true
+		return nil, sl.err
+	}
+	s.lastPeriod = sl.lastPeriod
+	s.next++
+	s.chunks.Add(1)
+	return sl.recs, nil
 }
 
 // Close stops every pipeline goroutine and waits for them all to exit, so
 // the caller may close the underlying reader afterwards.
 func (s *v2PipelineSource) Close() error {
+	s.ended = true
 	s.closeOnce.Do(func() { close(s.stop) })
-	for range s.out {
-	}
 	s.wg.Wait()
 	return nil
 }
@@ -181,255 +195,76 @@ func (s *v2PipelineSource) DecodeStats() DecodeStats {
 	}
 }
 
-// readLoop owns the reader: it frames chunks (cheap — lengths are in the
-// headers), reads their compressed payloads into pooled buffers and hands
-// them to the workers. Frame-level failures and the end of the stream
-// become the terminal result at the seq they occurred, so the emitter
-// releases every earlier chunk first — identical error order to the
-// serial decoder.
+// readLoop owns the reader: it frames chunk k into slot k mod n (cheap —
+// lengths are in the headers), reads its compressed payload and hands the
+// slot to the workers. The chunk that ends the stream — a frame-level
+// failure, a torn payload or the footer — is signalled on its own slot, so
+// Next surfaces it only after every earlier chunk.
 func (s *v2PipelineSource) readLoop(c *countingReader) {
 	defer s.wg.Done()
 	defer close(s.jobs)
-	var seen []chunkIndexEntry
-	if s.total >= 0 {
-		seen = make([]chunkIndexEntry, 0, s.total/DefaultChunkRecords+1)
-	}
-	seq, recBase := 0, 0
-	terminal := func(err error) {
+	// Sized from the footer's total, which stays unverified until the
+	// footer check: capped, so a corrupt total cannot size an allocation.
+	seen := make([]chunkIndexEntry, 0, min(max(s.total, 0)/DefaultChunkRecords+1, 1<<16))
+	recBase := 0
+	for k := 0; ; k++ {
 		select {
-		case s.results <- pipeResult{seq: seq, err: err, terminal: true}:
-		case <-s.stop:
-		}
-	}
-	for {
-		f, err := readChunkFrame(c)
-		if err != nil {
-			terminal(err)
-			return
-		}
-		if f.terminator {
-			terminal(checkStreamFooter(c, seen, recBase))
-			return
-		}
-		var disk []byte
-		select {
-		case disk = <-s.diskFree:
-		case <-s.stop:
-			return
-		}
-		if uint64(cap(disk)) < f.diskLen {
-			disk = make([]byte, f.diskLen)
-		}
-		disk = disk[:f.diskLen]
-		if _, err := io.ReadFull(c, disk); err != nil {
-			// Carry the frame: the serial decoder checks base-period
-			// monotonicity before reading the payload, so if this frame is
-			// also backwards the emitter must surface that error instead.
-			select {
-			case s.results <- pipeResult{seq: seq, frame: f, err: c.fail("chunk payload", err), terminal: true}:
-			case <-s.stop:
-			}
-			return
-		}
-		var buf []Record
-		select {
-		case buf = <-s.recFree:
+		case <-s.free:
 		default:
-			// Would block: decode is ahead of replay and every buffer is
-			// downstream. Count the stall — it means the consumer, not the
-			// decode pool, is the bottleneck.
+			// Every slot is downstream: decode is ahead of replay. Count
+			// the stall — the consumer, not the decode pool, is the
+			// bottleneck.
 			s.bufferStalls.Add(1)
 			t0 := time.Now()
 			select {
-			case buf = <-s.recFree:
+			case <-s.free:
 			case <-s.stop:
 				return
 			}
 			s.bufferStallNs.Add(uint64(time.Since(t0)))
 		}
-		select {
-		case s.jobs <- pipeJob{seq: seq, frame: f, disk: disk, buf: buf, recBase: recBase}:
-		case <-s.stop:
+		sl := &s.slots[k%len(s.slots)]
+		f, err := readChunkFrame(c)
+		switch {
+		case err != nil:
+			f = chunkFrame{} // a half-parsed frame must not reach the base-period check
+		case f.terminator:
+			err = checkStreamFooter(c, seen, recBase)
+		default:
+			sl.disk, err = readDisk(c, f, sl.disk)
+		}
+		sl.frame = f
+		if err != nil {
+			sl.err = err
+			sl.done <- struct{}{}
 			return
 		}
+		sl.recBase = recBase
+		s.jobs <- sl
 		seen = append(seen, chunkIndexEntry{records: f.count, diskBytes: f.diskLen})
 		recBase += int(f.count)
-		seq++
 	}
 }
 
-// decodeLoop is one pool worker: decompress into its own scratch, decode
-// into a pooled record buffer, pass the result to the emitter. Decode
-// errors ride the result — the emitter surfaces them in chunk order.
+// decodeLoop is one pool worker: decompress into its own scratch and
+// decode into the slot's record buffer. Decode errors ride the slot — Next
+// surfaces them in chunk order.
 func (s *v2PipelineSource) decodeLoop() {
 	defer s.wg.Done()
 	var dec chunkDecoder
 	lastOffs := make([]uint64, len(s.h.areas))
-	for job := range s.jobs {
-		res := pipeResult{seq: job.seq, frame: job.frame}
-		payload, err := dec.inflatePayload(job.frame, job.disk)
-		if err != nil {
-			res.err = err
-		} else {
+	for sl := range s.jobs {
+		f := sl.frame
+		payload, err := dec.inflatePayload(f, sl.disk)
+		if err == nil {
+			// A decode error drops the slot's buffer, but it also ends
+			// the stream at this slot, which is then never reused.
 			clear(lastOffs)
-			res.recs, res.lastPeriod, res.err = decodeChunkPayload(
-				payload, int(job.frame.count), job.frame.basePeriod,
-				s.h.areas, lastOffs, job.buf, job.recBase, job.frame.payloadStart)
+			sl.recs, sl.lastPeriod, err = decodeChunkPayload(payload, int(f.count), f.basePeriod,
+				s.h.areas, lastOffs, sl.recs, sl.recBase, f.payloadStart)
 		}
-		if res.err != nil {
-			// Error results carry no records; recycle the job's buffer so
-			// the reader never finds the pool short. The free channel holds
-			// every buffer in existence, so this send cannot block.
-			select {
-			case s.recFree <- job.buf[:0]:
-			default:
-			}
-		}
-		// The decode read the disk buffer (directly for raw chunks), so it
-		// goes back to the reader only now.
-		select {
-		case s.diskFree <- job.disk:
-		default:
-		}
-		select {
-		case s.results <- res:
-		case <-s.stop:
-			return
-		}
-	}
-}
-
-// emitLoop is the reorder buffer: it parks out-of-order results and
-// releases batches to the consumer strictly by chunk seq, running the
-// cross-chunk base-period monotonicity check the serial decoder does at
-// frame-parse time. The park list is a fixed array scanned linearly — it
-// can never overflow, because each parked success pins one of the nRecBufs
-// pooled record buffers, decode errors dedup to the lowest seq (nothing
-// past the first error in stream order is ever emitted, so later results
-// are dropped and their buffers recycled), and the terminal result is held
-// aside. Linear scans over ≤ nRecBufs+1 slots cost nothing next to a chunk
-// decode.
-func (s *v2PipelineSource) emitLoop(nRecBufs int) {
-	defer s.wg.Done()
-	defer close(s.out)
-	parked := make([]pipeResult, nRecBufs+1)
-	present := make([]bool, nRecBufs+1)
-	nParked := 0
-	next := 0
-	var lastPeriod uint64
-	var term, errRes pipeResult
-	haveTerm, haveErr := false, false
-	emit := func(b v2Batch) bool {
-		select {
-		case s.out <- b:
-			return true
-		case <-s.stop:
-			return false
-		}
-	}
-	take := func(seq int) (pipeResult, bool) {
-		for i, ok := range present {
-			if ok && parked[i].seq == seq {
-				r := parked[i]
-				present[i] = false
-				parked[i] = pipeResult{}
-				nParked--
-				return r, true
-			}
-		}
-		return pipeResult{}, false
-	}
-	park := func(r pipeResult) {
-		for i, ok := range present {
-			if !ok {
-				parked[i] = r
-				present[i] = true
-				nParked++
-				return
-			}
-		}
-		// Unreachable by the buffer-pool accounting above; losing a result
-		// would hang the consumer, so fail loudly instead.
-		panic("trace: pipelined decode reorder buffer overflow")
-	}
-	for {
-		// Release everything already in order.
-		for {
-			if haveErr && next == errRes.seq {
-				if errRes.frame.basePeriod < lastPeriod {
-					emit(v2Batch{err: errBasePeriodBackwards(errRes.frame, lastPeriod)})
-				} else {
-					emit(v2Batch{err: errRes.err})
-				}
-				return
-			}
-			if haveTerm && next == term.seq {
-				switch {
-				case term.frame.count > 0 && term.frame.basePeriod < lastPeriod:
-					// The frame parsed but its payload read failed; the
-					// serial decoder's monotonicity check runs first.
-					emit(v2Batch{err: errBasePeriodBackwards(term.frame, lastPeriod)})
-				case term.err != io.EOF:
-					emit(v2Batch{err: term.err})
-				}
-				return
-			}
-			r, ok := take(next)
-			if !ok {
-				break
-			}
-			if r.frame.basePeriod < lastPeriod {
-				emit(v2Batch{err: errBasePeriodBackwards(r.frame, lastPeriod)})
-				return
-			}
-			lastPeriod = r.lastPeriod
-			s.chunks.Add(1)
-			if !emit(v2Batch{recs: r.recs}) {
-				return
-			}
-			next++
-		}
-		// Wait for more results. Waiting while out-of-order chunks are
-		// parked is a reorder stall: a straggler decode is head-of-line
-		// blocking the consumer.
-		var r pipeResult
-		select {
-		case r = <-s.results:
-		default:
-			if nParked > 0 {
-				s.reorderStalls.Add(1)
-				t0 := time.Now()
-				select {
-				case r = <-s.results:
-				case <-s.stop:
-					return
-				}
-				s.reorderStallNs.Add(uint64(time.Since(t0)))
-			} else {
-				select {
-				case r = <-s.results:
-				case <-s.stop:
-					return
-				}
-			}
-		}
-		switch {
-		case r.terminal:
-			term, haveTerm = r, true
-		case r.err != nil:
-			// Only the lowest-seq error can ever surface; keep that one.
-			if !haveErr || r.seq < errRes.seq {
-				errRes, haveErr = r, true
-			}
-		case haveErr && r.seq > errRes.seq:
-			// Past the first error in stream order: never emitted. Recycle
-			// the buffer so Close never finds the pool short.
-			select {
-			case s.recFree <- r.recs[:0]:
-			default:
-			}
-		default:
-			park(r)
-		}
+		sl.err = err
+		sl.done <- struct{}{}
+		s.decoded.Add(1) // after the signal: a counted chunk is always done
 	}
 }

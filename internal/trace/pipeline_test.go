@@ -61,11 +61,10 @@ func drainAll(src RecordSource) ([]Record, error) {
 	}
 }
 
-// openDrain opens data with the given worker count, drains it, and closes
-// the source. Open-time errors come back as the error with nil records.
-func openDrain(t *testing.T, data []byte, workers int) ([]Record, error) {
-	t.Helper()
-	src, err := OpenStreamConfig(bytes.NewReader(data), StreamConfig{DecodeWorkers: workers})
+// openDrain opens r with the given worker count, drains it, and closes the
+// source. Open-time errors come back as the error with nil records.
+func openDrain(r io.Reader, workers int) ([]Record, error) {
+	src, err := OpenStreamConfig(r, StreamConfig{DecodeWorkers: workers})
 	if err != nil {
 		return nil, err
 	}
@@ -73,10 +72,26 @@ func openDrain(t *testing.T, data []byte, workers int) ([]Record, error) {
 	return drainAll(src)
 }
 
+// sameDecode fails unless a decode matches the reference decode: the same
+// records before the stream ended and the same terminating error text.
+func sameDecode(t *testing.T, what string, got []Record, gotErr error, want []Record, wantErr error) {
+	t.Helper()
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("%s: err %v, reference err %v", what, gotErr, wantErr)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: decoded %d records, reference %d (err %v)", what, len(got), len(want), wantErr)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: record %d = %+v, reference %+v", what, i, got[i], want[i])
+		}
+	}
+}
+
 // TestPipelinedDecodeMatchesSerial is the property test for the decode
-// pool: over random images, chunk sizes and codecs, every pipelined worker
-// count must yield the byte-identical record sequence of the serial
-// decoder.
+// pool: over random images, chunk sizes and codecs, every worker count must
+// yield the byte-identical record sequence of the sequential reference.
 func TestPipelinedDecodeMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 25; trial++ {
@@ -89,34 +104,23 @@ func TestPipelinedDecodeMatchesSerial(t *testing.T) {
 		if err := EncodeV2(&buf, img, opt); err != nil {
 			t.Fatalf("trial %d: encode: %v", trial, err)
 		}
-		serial, err := openDrain(t, buf.Bytes(), 1)
+		ref, err := sequentialDecode(buf.Bytes())
 		if err != nil {
-			t.Fatalf("trial %d: serial drain: %v", trial, err)
+			t.Fatalf("trial %d: reference decode: %v", trial, err)
 		}
-		sameRecords(t, serial, img.Records)
-		for _, workers := range []int{2, 3, 8} {
-			piped, err := openDrain(t, buf.Bytes(), workers)
-			if err != nil {
-				t.Fatalf("trial %d workers %d: pipelined drain: %v", trial, workers, err)
-			}
-			if len(piped) != len(serial) {
-				t.Fatalf("trial %d workers %d: %d records, serial %d", trial, workers, len(piped), len(serial))
-			}
-			for i := range serial {
-				if piped[i] != serial[i] {
-					t.Fatalf("trial %d workers %d: record %d = %+v, serial %+v",
-						trial, workers, i, piped[i], serial[i])
-				}
-			}
+		sameRecords(t, ref, img.Records)
+		for _, workers := range []int{1, 2, 3, 8} {
+			piped, err := openDrain(bytes.NewReader(buf.Bytes()), workers)
+			sameDecode(t, fmt.Sprintf("trial %d workers %d", trial, workers), piped, err, ref, nil)
 		}
 	}
 }
 
 // TestPipelinedDecodeErrorParity pins error-propagation order: over random
-// truncations and byte flips of a valid stream, the pipelined decoder must
+// truncations and byte flips of a valid stream, the decode pool must
 // deliver the same decoded prefix and the same terminating error (by
-// message) as the serial decoder — corruption in chunk k never surfaces
-// before chunks 0..k-1 are emitted, exactly like the serial pass.
+// message) as the sequential reference — corruption in chunk k never
+// surfaces before chunks 0..k-1 are emitted.
 func TestPipelinedDecodeErrorParity(t *testing.T) {
 	img := mkImage(3000)
 	for _, opt := range []StreamOptions{
@@ -137,77 +141,49 @@ func TestPipelinedDecodeErrorParity(t *testing.T) {
 				pos := rng.Intn(len(data))
 				data[pos] ^= byte(1 << rng.Intn(8)) // flipped bit
 			}
-			serial, serialErr := openDrain(t, data, 1)
-			piped, pipedErr := openDrain(t, data, 4)
-			if (serialErr == nil) != (pipedErr == nil) {
-				t.Fatalf("trial %d: serial err %v, pipelined err %v", trial, serialErr, pipedErr)
-			}
-			if serialErr != nil && serialErr.Error() != pipedErr.Error() {
-				t.Fatalf("trial %d: serial err %q, pipelined err %q", trial, serialErr, pipedErr)
-			}
-			if len(piped) != len(serial) {
-				t.Fatalf("trial %d: pipelined decoded %d records before error, serial %d (err %v)",
-					trial, len(piped), len(serial), serialErr)
-			}
-			for i := range serial {
-				if piped[i] != serial[i] {
-					t.Fatalf("trial %d: record %d = %+v, serial %+v", trial, i, piped[i], serial[i])
-				}
+			ref, refErr := sequentialDecode(data)
+			for _, workers := range []int{1, 4} {
+				piped, err := openDrain(bytes.NewReader(data), workers)
+				sameDecode(t, fmt.Sprintf("trial %d workers %d", trial, workers), piped, err, ref, refErr)
 			}
 		}
 	}
 }
 
-// TestPipelinedDecodeStats checks the decode pool reports its shape and
-// progress through DecodeStatsSource.
+// TestPipelinedDecodeStats checks every v2 stream, one worker included,
+// reports its pool shape and progress through DecodeStatsSource.
 func TestPipelinedDecodeStats(t *testing.T) {
 	img := mkImage(2000)
 	var buf bytes.Buffer
 	if err := EncodeV2(&buf, img, StreamOptions{ChunkRecords: 100}); err != nil {
 		t.Fatal(err)
 	}
-	src, err := OpenStreamConfig(bytes.NewReader(buf.Bytes()), StreamConfig{DecodeWorkers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	ds, ok := src.(DecodeStatsSource)
-	if !ok {
-		t.Fatal("pipelined source does not implement DecodeStatsSource")
-	}
-	if _, err := drainAll(src); err != nil {
-		t.Fatal(err)
-	}
-	st := ds.DecodeStats()
-	if st.Workers != 3 {
-		t.Fatalf("Workers = %d, want 3", st.Workers)
-	}
-	if st.Chunks != 20 {
-		t.Fatalf("Chunks = %d, want 20", st.Chunks)
-	}
-}
-
-// TestSerialSourceHasNoDecodeStats pins the contract that only the
-// pipelined decoder exposes stall counters.
-func TestSerialSourceHasNoDecodeStats(t *testing.T) {
-	img := mkImage(10)
-	var buf bytes.Buffer
-	if err := EncodeV2(&buf, img, StreamOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	src, err := OpenStreamConfig(bytes.NewReader(buf.Bytes()), StreamConfig{DecodeWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	if _, ok := src.(DecodeStatsSource); ok {
-		t.Fatal("serial source unexpectedly implements DecodeStatsSource")
+	for _, workers := range []int{1, 3} {
+		src, err := OpenStreamConfig(bytes.NewReader(buf.Bytes()), StreamConfig{DecodeWorkers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, ok := src.(DecodeStatsSource)
+		if !ok {
+			t.Fatalf("workers %d: v2 source does not implement DecodeStatsSource", workers)
+		}
+		if _, err := drainAll(src); err != nil {
+			t.Fatal(err)
+		}
+		src.Close()
+		st := ds.DecodeStats()
+		if st.Workers != workers {
+			t.Fatalf("Workers = %d, want %d", st.Workers, workers)
+		}
+		if st.Chunks != 20 {
+			t.Fatalf("workers %d: Chunks = %d, want 20", workers, st.Chunks)
+		}
 	}
 }
 
 // TestPipelinedCloseMidStream checks Close unwinds the pipeline cleanly
 // with chunks still in flight (no goroutine leak panics under -race, no
-// hang).
+// hang), and that the closed source reports io.EOF.
 func TestPipelinedCloseMidStream(t *testing.T) {
 	img := mkImage(5000)
 	var buf bytes.Buffer
@@ -226,6 +202,9 @@ func TestPipelinedCloseMidStream(t *testing.T) {
 		}
 		if err := src.Close(); err != nil {
 			t.Fatal(err)
+		}
+		if _, err := src.Next(); err != io.EOF {
+			t.Fatalf("trial %d: Next after Close = %v, want io.EOF", trial, err)
 		}
 	}
 }

@@ -9,14 +9,13 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 )
 
 // Stream format (version 2): the chunked, varint-delta-compressed on-disk
 // trace. Unlike version 1 — a single header followed by one flat record
 // stream whose decoder materializes everything — a v2 image is a sequence
 // of independently decodable chunks, so paper-scale traces replay in
-// bounded memory and the reader can stay one chunk ahead of the consumer.
+// bounded memory while a worker pool decodes chunks ahead of the consumer.
 //
 // Layout:
 //
@@ -260,13 +259,13 @@ func readStreamHeader(c *countingReader) (*streamHeader, error) {
 // StreamConfig tunes how OpenStreamConfig decodes a stream. The zero value
 // is the default configuration.
 type StreamConfig struct {
-	// DecodeWorkers bounds the concurrent chunk decoders of a v2 stream:
-	// 0 picks GOMAXPROCS, 1 selects the serial single-goroutine read-ahead
-	// decoder, and values above 1 enable the pipelined worker pool (one
-	// reader goroutine framing compressed chunks, DecodeWorkers goroutines
-	// decompressing and decoding them, a reorder buffer restoring chunk
-	// order). Record sequence and error order are identical either way;
-	// only the host-side decode concurrency changes. v1 streams ignore it.
+	// DecodeWorkers sizes the chunk-decode worker pool of a v2 stream
+	// (0 picks GOMAXPROCS): one reader goroutine frames compressed chunks
+	// into a ring of DecodeWorkers+2 slots, DecodeWorkers goroutines
+	// decompress and decode them, and Next takes the slots back in chunk
+	// order. Even one worker overlaps decode with replay. Record sequence
+	// and error order are identical at any size; only the host-side decode
+	// concurrency changes. v1 streams ignore it.
 	DecodeWorkers int
 }
 
@@ -278,10 +277,9 @@ func OpenStream(r io.Reader) (RecordSource, error) {
 
 // OpenStreamConfig opens a binary trace for streamed replay, sniffing the
 // format version from the header: v1 images decode incrementally in
-// DefaultChunkRecords batches, v2 images chunk-by-chunk — serially with one
-// chunk of read-ahead, or through a decode worker pool (see
-// StreamConfig.DecodeWorkers). The caller must Close the source (which does
-// not close r) and keeps ownership of r.
+// DefaultChunkRecords batches, v2 images chunk-by-chunk through a decode
+// worker pool (see StreamConfig.DecodeWorkers). The caller must Close the
+// source (which does not close r) and keeps ownership of r.
 func OpenStreamConfig(r io.Reader, cfg StreamConfig) (RecordSource, error) {
 	total := -1
 	if rs, ok := r.(io.ReadSeeker); ok {
@@ -309,20 +307,7 @@ func OpenStreamConfig(r io.Reader, cfg StreamConfig) (RecordSource, error) {
 		if workers <= 0 {
 			workers = runtime.GOMAXPROCS(0)
 		}
-		if workers > 1 {
-			return newPipelineSource(c, h, total, workers), nil
-		}
-		s := &v2Source{
-			h:     h,
-			total: total,
-			out:   make(chan v2Batch, 1),
-			free:  make(chan []Record, 2),
-			stop:  make(chan struct{}),
-		}
-		s.free <- nil
-		s.free <- nil
-		go s.run(c)
-		return s, nil
+		return newPipelineSource(c, h, total, workers), nil
 	}
 }
 
@@ -477,58 +462,6 @@ func (s *v1Source) Next() ([]Record, error) {
 	return batch, nil
 }
 
-// v2Batch carries one decoded chunk (or the stream's final error) from the
-// read-ahead goroutine to the consumer.
-type v2Batch struct {
-	recs []Record
-	err  error
-}
-
-// v2Source decodes chunks one ahead of the consumer: a single goroutine
-// reads, decompresses and decodes the next chunk into one of two recycled
-// record buffers while the previous one is being replayed, so at most two
-// chunks are ever resident regardless of trace length.
-type v2Source struct {
-	h     *streamHeader
-	total int
-
-	out  chan v2Batch
-	free chan []Record
-	stop chan struct{}
-
-	cur       []Record
-	closeOnce sync.Once
-}
-
-func (s *v2Source) Benchmark() string { return s.h.benchmark }
-func (s *v2Source) Areas() []Area     { return s.h.areas }
-func (s *v2Source) Total() int        { return s.total }
-
-func (s *v2Source) Next() ([]Record, error) {
-	if s.cur != nil {
-		s.free <- s.cur[:0] // hand the consumed buffer back; never blocks (cap 2)
-		s.cur = nil
-	}
-	b, ok := <-s.out
-	if !ok {
-		return nil, io.EOF
-	}
-	if b.err != nil {
-		return nil, b.err
-	}
-	s.cur = b.recs
-	return b.recs, nil
-}
-
-// Close stops the read-ahead goroutine and waits for it to exit, so the
-// caller may close the underlying reader afterwards.
-func (s *v2Source) Close() error {
-	s.closeOnce.Do(func() { close(s.stop) })
-	for range s.out {
-	}
-	return nil
-}
-
 // chunkFrame is one parsed v2 chunk frame header: everything before the
 // payload, plus the reader offsets decode errors must point at. A frame
 // with terminator set marks the end of the chunk sequence (the footer
@@ -551,10 +484,9 @@ type chunkFrame struct {
 }
 
 // readChunkFrame parses the next chunk's frame header, validating every
-// field against the decoder hard limits. It is shared by the serial
-// decoder, the pipelined decoder's reader goroutine, the chunk-index
-// scanner and the range source, so all of them reject corruption with
-// identical errors.
+// field against the decoder hard limits. It is shared by the decode pool's
+// reader goroutine, the chunk-index scanner and the range source, so all of
+// them reject corruption with identical errors.
 func readChunkFrame(c *countingReader) (chunkFrame, error) {
 	var f chunkFrame
 	count, err := c.uvarint("chunk record count")
@@ -603,29 +535,29 @@ func errBasePeriodBackwards(f chunkFrame, lastPeriod uint64) error {
 	return fmt.Errorf("trace: offset %d: chunk base period goes backwards (%d < %d): %w", f.basePeriodOff, f.basePeriod, lastPeriod, ErrCorrupt)
 }
 
-// chunkDecoder holds the reusable per-decoder scratch state: the disk and
-// raw buffers grow to the largest chunk and stay there, the inflater and
-// its bytes.Reader reset in place, and the overrun scratch byte is hoisted,
-// so the steady-state chunk loop performs no heap allocation at all (the
-// zero-alloc CI guards pin this). Each concurrent decoder owns one.
-type chunkDecoder struct {
-	disk, raw []byte
-	inflate   io.ReadCloser
-	diskRd    bytes.Reader
-	overrun   [1]byte
+// readDisk reads the frame's on-disk payload into buf, grown to the
+// largest chunk and reused after that.
+func readDisk(c *countingReader, f chunkFrame, buf []byte) ([]byte, error) {
+	if uint64(cap(buf)) < f.diskLen {
+		buf = make([]byte, f.diskLen)
+	}
+	buf = buf[:f.diskLen]
+	if _, err := io.ReadFull(c, buf); err != nil {
+		return buf, c.fail("chunk payload", err)
+	}
+	return buf, nil
 }
 
-// readDisk reads the frame's on-disk payload into the decoder's reused
-// disk buffer.
-func (d *chunkDecoder) readDisk(c *countingReader, f chunkFrame) error {
-	if uint64(cap(d.disk)) < f.diskLen {
-		d.disk = make([]byte, f.diskLen)
-	}
-	d.disk = d.disk[:f.diskLen]
-	if _, err := io.ReadFull(c, d.disk); err != nil {
-		return c.fail("chunk payload", err)
-	}
-	return nil
+// chunkDecoder holds the reusable per-decoder inflate state: the raw buffer
+// grows to the largest chunk and stays there, the inflater and its
+// bytes.Reader reset in place, and the overrun scratch byte is hoisted, so
+// the steady-state chunk loop performs no heap allocation at all (the
+// zero-alloc CI guards pin this). Each concurrent decoder owns one.
+type chunkDecoder struct {
+	raw     []byte
+	inflate io.ReadCloser
+	diskRd  bytes.Reader
+	overrun [1]byte
 }
 
 // inflatePayload turns a frame's on-disk payload bytes into the raw chunk
@@ -652,73 +584,6 @@ func (d *chunkDecoder) inflatePayload(f chunkFrame, disk []byte) ([]byte, error)
 		return nil, fmt.Errorf("trace: offset %d: chunk inflates past its declared %d bytes: %w", f.payloadStart, f.rawLen, ErrCorrupt)
 	}
 	return d.raw, nil
-}
-
-// run is the read-ahead loop. It owns the reader; it exits when the stream
-// ends, on the first error, or when Close fires, and always closes out.
-func (s *v2Source) run(c *countingReader) {
-	defer close(s.out)
-	var (
-		recIndex   int
-		lastPeriod uint64
-		dec        chunkDecoder
-		seenChunks []chunkIndexEntry
-		lastOffs   = make([]uint64, len(s.h.areas))
-	)
-	if s.total >= 0 {
-		seenChunks = make([]chunkIndexEntry, 0, s.total/DefaultChunkRecords+1)
-	}
-	emitErr := func(err error) {
-		select {
-		case s.out <- v2Batch{err: err}:
-		case <-s.stop:
-		}
-	}
-	for {
-		f, err := readChunkFrame(c)
-		if err != nil {
-			emitErr(err)
-			return
-		}
-		if f.terminator {
-			emitErr(checkStreamFooter(c, seenChunks, recIndex))
-			return
-		}
-		if f.basePeriod < lastPeriod {
-			emitErr(errBasePeriodBackwards(f, lastPeriod))
-			return
-		}
-		if err := dec.readDisk(c, f); err != nil {
-			emitErr(err)
-			return
-		}
-		payload, err := dec.inflatePayload(f, dec.disk)
-		if err != nil {
-			emitErr(err)
-			return
-		}
-
-		var buf []Record
-		select {
-		case buf = <-s.free:
-		case <-s.stop:
-			return
-		}
-		clear(lastOffs)
-		recs, last, err := decodeChunkPayload(payload, int(f.count), f.basePeriod, s.h.areas, lastOffs, buf, recIndex, f.payloadStart)
-		if err != nil {
-			emitErr(err)
-			return
-		}
-		lastPeriod = last
-		seenChunks = append(seenChunks, chunkIndexEntry{records: f.count, diskBytes: f.diskLen})
-		recIndex += int(f.count)
-		select {
-		case s.out <- v2Batch{recs: recs}:
-		case <-s.stop:
-			return
-		}
-	}
 }
 
 // checkStreamFooter parses the trailing index and cross-checks it against

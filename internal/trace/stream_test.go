@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -303,6 +304,17 @@ func TestV2CorruptFooter(t *testing.T) {
 	if _, err := Decode(bytes.NewReader(bad)); err == nil {
 		t.Fatal("wrong footer total accepted")
 	}
+
+	// So must a huge one, which the seekable open reads up front as the
+	// stream's Total: nothing may be sized from it unchecked. 1<<60
+	// encodes as nine bytes, eight more than the one it replaces.
+	fLen := binary.LittleEndian.Uint32(full[len(full)-8:])
+	bad = binary.AppendUvarint(append([]byte(nil), full[:len(full)-9]...), 1<<60)
+	bad = binary.LittleEndian.AppendUint32(bad, fLen+8)
+	bad = binary.LittleEndian.AppendUint32(bad, footerMagic)
+	if _, err := Decode(bytes.NewReader(bad)); err == nil {
+		t.Fatal("huge footer total accepted")
+	}
 }
 
 func TestV2ErrorsNameOffsets(t *testing.T) {
@@ -320,33 +332,37 @@ func TestV2ErrorsNameOffsets(t *testing.T) {
 	}
 }
 
-// TestReadAheadBufferReuse verifies the bounded-memory contract: however
-// many chunks the stream holds, the decoder cycles through at most two
-// record buffers.
-func TestReadAheadBufferReuse(t *testing.T) {
+// TestStreamBufferReuse verifies the bounded-memory contract: however many
+// chunks the stream holds, the decode pool cycles through at most one
+// record buffer per ring slot (workers+2).
+func TestStreamBufferReuse(t *testing.T) {
 	img := mkImage(640)
 	var buf bytes.Buffer
 	if err := EncodeV2(&buf, img, StreamOptions{ChunkRecords: 64}); err != nil {
 		t.Fatal(err)
 	}
-	src, err := OpenStream(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer src.Close()
-	backing := map[*Record]bool{}
-	for {
-		batch, err := src.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		backing[&batch[:1][0]] = true
-	}
-	if len(backing) > 2 {
-		t.Fatalf("decoder used %d distinct chunk buffers, want <= 2", len(backing))
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("workers%d", workers), func(t *testing.T) {
+			src, err := OpenStreamConfig(bytes.NewReader(buf.Bytes()), StreamConfig{DecodeWorkers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer src.Close()
+			backing := map[*Record]bool{}
+			for {
+				batch, err := src.Next()
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				backing[&batch[:1][0]] = true
+			}
+			if len(backing) > workers+2 {
+				t.Fatalf("decoder used %d distinct chunk buffers, want <= %d", len(backing), workers+2)
+			}
+		})
 	}
 }
 
@@ -536,11 +552,11 @@ func BenchmarkV2Decode(b *testing.B) {
 	}
 }
 
-// TestStreamDecodeBoundedMemory pins the memory contract of the tentpole:
+// TestStreamDecodeBoundedMemory pins the streaming memory contract:
 // draining a multi-million-record v2 stream must keep live heap growth
-// bounded by a couple of chunks, while materializing the same image holds
-// the full record slice. Skipped in -short runs (it allocates a 2M-record
-// trace).
+// bounded by the decode pool's ring of chunks, while materializing the same
+// image holds the full record slice. Skipped in -short runs (it allocates a
+// 2M-record trace).
 func TestStreamDecodeBoundedMemory(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -563,7 +579,8 @@ func TestStreamDecodeBoundedMemory(t *testing.T) {
 	}
 
 	base := heap()
-	src, err := OpenStream(bytes.NewReader(data))
+	const workers = 2
+	src, err := OpenStreamConfig(bytes.NewReader(data), StreamConfig{DecodeWorkers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,10 +608,13 @@ func TestStreamDecodeBoundedMemory(t *testing.T) {
 	growth := peak - base
 	t.Logf("streaming: peak live heap growth %d KiB over %d records (%d KiB materialized)",
 		growth/1024, n, recordBytes/1024)
-	// Two chunks of 64K records at 32 B/record is 4 MiB; allow decoder
-	// scratch on top, but stay far under the 64 MiB record slice.
-	if growth > recordBytes/4 {
-		t.Fatalf("streaming held %d B live, more than 1/4 of the %d B record slice", growth, recordBytes)
+	// Each of the workers+2 slots holds a 2 MiB record buffer (64K records
+	// at 32 B/record) and its compressed payload; allow as much again for
+	// those payloads and the workers' inflate scratch, 16 MiB in all — a
+	// quarter of the 64 MiB record slice.
+	slotBytes := uint64(DefaultChunkRecords) * uint64(unsafe.Sizeof(Record{}))
+	if bound := 2 * (workers + 2) * slotBytes; growth > bound {
+		t.Fatalf("streaming held %d B live, more than %d B for %d ring slots", growth, bound, workers+2)
 	}
 
 	mid := heap()

@@ -79,9 +79,10 @@ func BenchmarkShardedReplayThroughput(b *testing.B) {
 }
 
 // BenchmarkStreamReplayThroughput replays the same workload through the
-// chunked v2 format: the image is decoded chunk-by-chunk with read-ahead
-// while the simulator replays, holding at most two chunks in memory. The
-// records/sec metric is directly comparable to BenchmarkReplayThroughput's.
+// chunked v2 format: the default decode pool (GOMAXPROCS workers) decodes
+// chunk-by-chunk while the simulator replays, holding at most workers+2
+// chunks in memory. The records/sec metric is directly comparable to
+// BenchmarkReplayThroughput's.
 func BenchmarkStreamReplayThroughput(b *testing.B) {
 	cfg := workloads.DefaultYCSB()
 	cfg.Ops = 100_000
