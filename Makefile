@@ -16,7 +16,7 @@ test:
 # at several GOMAXPROCS values, a one-iteration pass over every benchmark so
 # the perf harness can't silently rot, a build-and-smoke of the perfbench
 # module, a bounded commit-point crash sweep, a short fuzz of the trace
-# decoders, the live-monitor smoke
+# decoders and the NVM pending store, the live-monitor smoke
 # (real kindle binary scraped over HTTP mid-run), the sharded-replay
 # smoke (real binary, -shards 1 vs 4 stats dumps diffed), and the
 # event-clock smoke (real binary, stepped vs -event-clock dumps diffed),
@@ -67,12 +67,15 @@ crashsweep:
 	$(GO) run ./cmd/kindle-bench -experiment crash-sweep -scale 0.0625 -check
 
 # fuzzsmoke runs the checked-in corpus plus 10 seconds of new coverage over
-# each trace fuzz target: the v1/v2 binary decoders checked against the
-# sequential reference, and the chunk-index scan plus range decode (see
-# internal/trace/fuzz_test.go). go test fuzzes one target per run.
+# each fuzz target: the v1/v2 binary decoders checked against the
+# sequential reference, the chunk-index scan plus range decode (see
+# internal/trace/fuzz_test.go), and the NVM pending store checked against
+# its map-based reference (see internal/mem/persist_fuzz_test.go). go test
+# fuzzes one target per run.
 fuzzsmoke:
 	$(GO) test -run XXX -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run XXX -fuzz '^FuzzChunkIndex$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run XXX -fuzz '^FuzzPersistDomain$$' -fuzztime 10s ./internal/mem
 
 # monitorsmoke builds the real kindle binary, runs a tiny replay with
 # -monitor, and asserts over HTTP that /metrics parses as Prometheus text
@@ -130,16 +133,20 @@ nightly:
 	KINDLE_NIGHTLY=1 $(GO) test -run TestNightly -timeout 45m -v ./internal/bench
 
 # profile records CPU and allocation profiles for both replay benchmarks
-# under profiles/ (gitignored). See "Recipe: profiling the replay engine"
-# in EXPERIMENTS.md for how to read them.
+# and for a rebuild-scheme checkpoint at persist-churn's 32,768 mapped NVM
+# pages under profiles/ (gitignored). See "Recipe: profiling the replay
+# engine" in EXPERIMENTS.md for how to read them.
 profile:
 	mkdir -p profiles
 	$(GO) test -run XXX -bench '^BenchmarkReplayThroughput$$' -benchtime 2s \
 		-cpuprofile profiles/replay_cpu.prof -memprofile profiles/replay_mem.prof -o profiles/kindle.test .
 	$(GO) test -run XXX -bench '^BenchmarkStreamReplayThroughput$$' -benchtime 2s \
 		-cpuprofile profiles/stream_cpu.prof -memprofile profiles/stream_mem.prof -o profiles/kindle.test .
-	@echo "wrote profiles/{replay,stream}_{cpu,mem}.prof; try:"
+	$(GO) test -run XXX -bench '^BenchmarkCheckpointSteadyState$$/^pages=32768$$' -benchtime 2s \
+		-cpuprofile profiles/checkpoint_cpu.prof -memprofile profiles/checkpoint_mem.prof -o profiles/persist.test ./internal/persist
+	@echo "wrote profiles/{replay,stream,checkpoint}_{cpu,mem}.prof; try:"
 	@echo "  go tool pprof -top -nodecount 20 profiles/kindle.test profiles/replay_cpu.prof"
+	@echo "  go tool pprof -top -nodecount 20 profiles/persist.test profiles/checkpoint_cpu.prof"
 
 # bench runs the microbenchmarks, then records the headline numbers
 # (replay records/sec, suite wall-clock, GOMAXPROCS) in BENCH_replay.json

@@ -14,6 +14,8 @@ import (
 	"testing"
 
 	"kindle/internal/core"
+	"kindle/internal/mem"
+	"kindle/internal/sim"
 	"kindle/internal/trace"
 	"kindle/internal/workloads"
 )
@@ -156,5 +158,34 @@ func TestStreamNextZeroAllocPipelined(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state pipelined decode allocates %.1f times per chunk, want 0", avg)
+	}
+}
+
+// TestPersistCommitCycleZeroAlloc: the NVM pending store's steady state —
+// a checkpoint-sized bulk write of whole lines, a partial-line write, then
+// a range commit of both — must recycle its frame records rather than
+// allocate, so every checkpoint's v2p rewrite is allocation-free.
+func TestPersistCommitCycleZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	layout := mem.DefaultLayout()
+	c := mem.NewController(layout, mem.DDR4_2400(), mem.PCM(), sim.NewClock(), sim.NewStats())
+	base := layout.NVMBase + 8*mem.MiB
+	bulk := make([]byte, 512*mem.KiB) // a 32,768-entry v2p list
+	for i := range bulk {
+		bulk[i] = byte(i)
+	}
+	tail := base + mem.PhysAddr(len(bulk)) + 8
+	cycle := func() {
+		c.Write(base, bulk)
+		c.WriteU64(tail, 42)
+		if n := c.Domain().CommitRange(base, uint64(len(bulk))+16); n != len(bulk)/mem.LineSize+1 {
+			t.Fatalf("CommitRange committed %d lines, want %d", n, len(bulk)/mem.LineSize+1)
+		}
+	}
+	cycle() // warm-up: allocate the directory slab and the frame records
+	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
+		t.Fatalf("steady-state write→CommitRange cycle allocates %.1f times, want 0", avg)
 	}
 }

@@ -2,7 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"sort"
 
 	"kindle/internal/sim"
 )
@@ -54,18 +53,16 @@ func (c *Controller) CaptureState() ControllerState {
 		st.NVM.Drain[i] = WBufEntryState{Line: uint64(e.line), Done: e.done}
 	}
 	st.NVM.DrainFree = c.nvm.drainFree
-	st.Pending = make([]PendingLineState, 0, len(c.domain.pending))
-	for line, buf := range c.domain.pending {
-		st.Pending = append(st.Pending, PendingLineState{Line: uint64(line), Data: *buf})
-	}
-	sort.Slice(st.Pending, func(i, j int) bool { return st.Pending[i].Line < st.Pending[j].Line })
+	st.Pending = c.domain.appendPending(make([]PendingLineState, 0, c.domain.PendingLines()))
 	return st
 }
 
 // RestoreState overwrites the controller's device/domain state from a
 // capture and swaps in backing as the functional store (normally a
 // Backing.Fork of the captured machine's). The controller must be freshly
-// constructed with the same layout and timing parameters.
+// constructed with the same layout and timing parameters. Captures may come
+// from snapshot files, so each pending line is checked: one that is not
+// line-aligned, lies outside the NVM region or appears twice is an error.
 func (c *Controller) RestoreState(st ControllerState, backing *Backing) error {
 	if backing == nil {
 		return fmt.Errorf("mem: RestoreState needs a backing store")
@@ -90,15 +87,7 @@ func (c *Controller) RestoreState(st ControllerState, backing *Backing) error {
 	}
 	n.drainFree = st.NVM.DrainFree
 	n.drainArmed = false
-
-	p := c.domain
-	p.pending = make(map[PhysAddr]*[LineSize]byte, len(st.Pending))
-	for i := range st.Pending {
-		buf := new([LineSize]byte)
-		*buf = st.Pending[i].Data
-		p.pending[PhysAddr(st.Pending[i].Line)] = buf
-	}
-	return nil
+	return c.domain.restorePending(st.Pending)
 }
 
 // RearmDrain re-arms the drain-completion event at an exact deadline

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -128,6 +129,9 @@ type Manager struct {
 	ptLogHead uint64
 	ckptEvent *sim.Event
 	started   bool
+
+	// v2pBuf is maintainV2P's reused encoding buffer for a v2p list copy.
+	v2pBuf []byte
 
 	ckptLat     *sim.Histogram
 	recoveryLat *sim.Histogram
@@ -684,18 +688,20 @@ func (mgr *Manager) maintainV2P(slot int, st *slotState, d *procDirty, target in
 		mgr.v2pChecked.Add(n)
 	}
 
-	// Serialize the mirror into the target copy (functional) and record
-	// the count.
+	// Serialize the mirror into the target copy (functional, one bulk
+	// write) and record the count.
 	base := mgr.geo.v2pAddr(slot, target)
 	if n > mgr.geo.v2pCap {
 		n = mgr.geo.v2pCap
 		m.Stats.Inc("persist.v2p_truncated")
 	}
-	for i := uint64(0); i < n; i++ {
-		e := st.mirror.entries[i]
-		m.StoreU64(base+mem.PhysAddr(i*v2pEntrySize), e.vpn)
-		m.StoreU64(base+mem.PhysAddr(i*v2pEntrySize+8), e.pfn)
+	buf := mgr.v2pBuf[:0]
+	for _, e := range st.mirror.entries[:n] {
+		buf = binary.LittleEndian.AppendUint64(buf, e.vpn)
+		buf = binary.LittleEndian.AppendUint64(buf, e.pfn)
 	}
+	mgr.v2pBuf = buf
+	m.Ctrl.Write(base, buf)
 	m.CommitRange(base, n*v2pEntrySize)
 	cnt := mem.PhysAddr(hdrV2PCountA)
 	if target == 1 {

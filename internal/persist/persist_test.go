@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -16,7 +17,13 @@ const testInterval = 10 * time.Millisecond
 
 func boot(t testing.TB, scheme Scheme) (*machine.Machine, *gemos.Kernel, *Manager, *gemos.Process) {
 	t.Helper()
-	m := machine.New(machine.TestConfig())
+	return bootConfig(t, machine.TestConfig(), scheme)
+}
+
+// bootConfig is boot on a machine built from cfg.
+func bootConfig(t testing.TB, cfg machine.Config, scheme Scheme) (*machine.Machine, *gemos.Kernel, *Manager, *gemos.Process) {
+	t.Helper()
+	m := machine.New(cfg)
 	k := gemos.Boot(m)
 	mgr, err := Attach(k, scheme, sim.FromDuration(testInterval))
 	if err != nil {
@@ -491,16 +498,34 @@ func TestGeometry(t *testing.T) {
 	}
 }
 
+// BenchmarkCheckpointSteadyState times rebuild-scheme checkpoints with no
+// mapping changes: the page-table scan, the verification pass and the
+// rewrite and commit of the whole v2p list. pages=32768 is persist-churn's
+// 128 MiB NVM area on the Table I machine.
 func BenchmarkCheckpointSteadyState(b *testing.B) {
-	m, k, mgr, p := boot(b, Rebuild)
-	a, _ := k.Mmap(p, 0, 64*4096, gemos.ProtRead|gemos.ProtWrite, gemos.MapNVM)
-	for i := uint64(0); i < 64; i++ {
-		m.Core.Access(a+i*4096, true, 1)
-	}
-	mgr.Checkpoint()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mgr.Checkpoint()
+	for _, tc := range []struct {
+		pages uint64
+		cfg   machine.Config
+	}{
+		{64, machine.TestConfig()},
+		{32768, machine.DefaultConfig()},
+	} {
+		b.Run(fmt.Sprintf("pages=%d", tc.pages), func(b *testing.B) {
+			m, k, mgr, p := bootConfig(b, tc.cfg, Rebuild)
+			a, err := k.Mmap(p, 0, tc.pages*4096, gemos.ProtRead|gemos.ProtWrite, gemos.MapNVM)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := uint64(0); i < tc.pages; i++ {
+				m.Core.Access(a+i*4096, true, 1)
+			}
+			mgr.Checkpoint()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mgr.Checkpoint()
+			}
+		})
 	}
 }
 

@@ -361,20 +361,24 @@ func (t *TLB) SetMRUProbe(on bool) {
 // Invalidate removes vpn from both levels, firing the evict hook if the
 // translation was present (the OS invalidates after PTE changes; prototype
 // metadata must be saved first, as in the paper's SSP design where
-// TLB-evicted entries are marked in the SSP cache).
+// TLB-evicted entries are marked in the SSP cache). As in demote, the
+// escaping copy for the hook is made only inside the hook branch, so an
+// unhooked invalidate stays allocation-free.
 func (t *TLB) Invalidate(vpn uint64) bool {
 	t.gen++
 	found := false
 	if v, ok := t.l1.invalidate(vpn); ok {
 		found = true
 		if t.onEvict != nil {
-			t.onEvict(&v)
+			hooked := v
+			t.onEvict(&hooked)
 		}
 	}
 	if v, ok := t.l2.invalidate(vpn); ok {
 		found = true
 		if t.onEvict != nil {
-			t.onEvict(&v)
+			hooked := v
+			t.onEvict(&hooked)
 		}
 	}
 	if found {

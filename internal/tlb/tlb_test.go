@@ -94,6 +94,21 @@ func TestInvalidateFiresHook(t *testing.T) {
 	}
 }
 
+// TestInvalidateNoAllocWithoutHook: with no evict hook installed,
+// invalidating a translation must not allocate, whether or not it is
+// present (the OS invalidates after every PTE change).
+func TestInvalidateNoAllocWithoutHook(t *testing.T) {
+	tb := NewDefault(sim.NewStats())
+	allocs := testing.AllocsPerRun(1000, func() {
+		tb.Insert(Entry{VPN: 9, PFN: 1})
+		tb.Invalidate(9) // present
+		tb.Invalidate(9) // absent
+	})
+	if allocs != 0 {
+		t.Fatalf("Invalidate allocates %v times per run with no hook installed", allocs)
+	}
+}
+
 func TestInvalidateAll(t *testing.T) {
 	tb := NewDefault(sim.NewStats())
 	count := 0
