@@ -53,9 +53,8 @@ func main() {
 	monitorAddr := flag.String("monitor", "", "serve live telemetry on this HTTP address (e.g. :8090): /metrics, /events, /progress, /debug/pprof/")
 	monitorHold := flag.Duration("monitor-hold", 0, "keep the monitor endpoint serving this long after the run completes")
 	decodeWorkers := flag.Int("decode-workers", 0, "v2 chunk-decode worker pool size (0 = GOMAXPROCS; 1 still overlaps decode with replay)")
-	eventClock := flag.Bool("event-clock", false, "advance the clock event-to-event instead of stepping cycle groups; stats are identical either way, idle-heavy runs finish faster")
-	idleAfter := flag.Duration("idle-after", 0, "keep the machine idling this much simulated time after the replay (timers keep firing); mainly for exercising -event-clock")
-	idleTick := flag.Duration("idle-tick", 10*time.Microsecond, "cycle-group grain for -idle-after idling")
+	idleAfter := flag.Duration("idle-after", 0, "keep the machine idling this much simulated time after the replay; checkpoint and other timers keep firing")
+	idleTick := flag.Duration("idle-tick", 10*time.Microsecond, "boundary grain for -idle-after idling: an event fires at the first boundary at or after its deadline (0 = one step to the end)")
 	shards := flag.Int("shards", 0, "replay the trace sharded across N machine instances (0 = off); requires a v2 -image")
 	segmentChunks := flag.Int("segment-chunks", 0, "sharded partition grain in chunks (0 = default); affects results, unlike -shards")
 	shardStatsDir := flag.String("shard-stats-dir", "", "with -shards, also write each segment's stats file into this directory")
@@ -67,6 +66,12 @@ func main() {
 	seed := flag.Uint64("seed", 0, "with -traffic, override the spec's RNG seed")
 	flag.Parse()
 
+	if *idleAfter < 0 {
+		fatal(fmt.Errorf("-idle-after must not be negative, got %s", *idleAfter))
+	}
+	if *idleTick < 0 {
+		fatal(fmt.Errorf("-idle-tick must not be negative, got %s", *idleTick))
+	}
 	if *snapshotOut != "" || *snapshotIn != "" {
 		// Snapshots capture the machine + kernel + persistence manager +
 		// replay position. Stacks whose pending events cannot be re-armed by
@@ -87,20 +92,14 @@ func main() {
 		}
 	}
 	if *snapshotIn != "" {
-		// The snapshot pins the persistence scheme and the clock engine; the
-		// flags that would re-choose them are refused rather than silently
-		// ignored.
+		// The snapshot pins the persistence scheme; the flag that would
+		// re-choose it is refused rather than silently ignored.
 		if *persistMode != "" {
 			fatal(fmt.Errorf("-snapshot-in restores the persistence state captured in the snapshot; drop -persist"))
 		}
 		if *snapshotOut != "" {
 			fatal(fmt.Errorf("-snapshot-in and -snapshot-out are mutually exclusive"))
 		}
-		flag.Visit(func(fl *flag.Flag) {
-			if fl.Name == "event-clock" {
-				fatal(fmt.Errorf("-snapshot-in restores the clock engine captured in the snapshot; drop -event-clock"))
-			}
-		})
 		runFromSnapshot(snapshotFlags{
 			snapshotIn:    *snapshotIn,
 			image:         *image,
@@ -146,7 +145,6 @@ func main() {
 			interval:    *interval,
 			stats:       *stats,
 			statsOut:    *statsOut,
-			eventClock:  *eventClock,
 			monitorAddr: *monitorAddr,
 			monitorHold: *monitorHold,
 		})
@@ -175,7 +173,6 @@ func main() {
 			statsDir:    *shardStatsDir,
 			stats:       *stats,
 			statsOut:    *statsOut,
-			eventClock:  *eventClock,
 			monitorAddr: *monitorAddr,
 			monitorHold: *monitorHold,
 		})
@@ -189,7 +186,6 @@ func main() {
 	defer src.Close()
 
 	cfg := machine.DefaultConfig()
-	cfg.EventDrivenClock = *eventClock
 	if *traceOut != "" {
 		mask, err := obs.ParseCategories(*traceCats)
 		if err != nil {
@@ -373,9 +369,7 @@ func main() {
 	}
 
 	// Optional idle tail: simulated time keeps passing with no instructions
-	// in flight, so checkpoint/migration/scheduler timers keep firing. This
-	// is the idle-skip case the event-driven clock exists for; the stats are
-	// identical either way.
+	// in flight, so checkpoint/migration/scheduler timers keep firing.
 	if *idleAfter > 0 {
 		f.RunIdle(*idleAfter, *idleTick)
 	}
@@ -507,7 +501,6 @@ type shardedFlags struct {
 	statsDir    string
 	stats       bool
 	statsOut    string
-	eventClock  bool
 	monitorAddr string
 	monitorHold time.Duration
 }
@@ -574,7 +567,6 @@ func runSharded(fl shardedFlags) {
 
 	start := time.Now()
 	cfg := machine.DefaultConfig()
-	cfg.EventDrivenClock = fl.eventClock
 	res, err := core.ReplayShardedFile(fl.image, core.ShardedOptions{
 		Shards:        fl.shards,
 		SegmentChunks: fl.segChunks,

@@ -37,14 +37,6 @@ type Report struct {
 	// refused without normalization, like gomaxprocs.
 	Shards        int `json:"shards,omitempty"`
 	DecodeWorkers int `json:"decode_workers,omitempty"`
-	// EventClockSpeedup is the stepped-over-event-driven wall-clock ratio
-	// on the idle-heavy long-horizon checkpoint lifecycle
-	// (BenchmarkSteppedClockLongHorizon ns/op over
-	// BenchmarkEventClockLongHorizon ns/op): >1 means the event-driven
-	// clock's idle skipping wins. Informational, never gated (both engines
-	// produce byte-identical stats; this only records the wall-clock win).
-	// Zero in reports from before the event-driven clock existed.
-	EventClockSpeedup float64 `json:"event_clock_speedup,omitempty"`
 	// ForkSpeedup is the cold-boot-over-warm-fork wall-clock ratio for one
 	// persistence-grid cell's boot prefix (BenchmarkColdGridWarmup ns/op
 	// over BenchmarkForkGridWarmup ns/op): >1 means forking the shared

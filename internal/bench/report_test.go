@@ -31,6 +31,16 @@ func TestReportRoundTrip(t *testing.T) {
 	if *got != *r {
 		t.Fatalf("round trip: got %+v want %+v", got, r)
 	}
+
+	// A baseline recorded before a key was retired (event_clock_speedup)
+	// still loads: unknown keys are ignored.
+	legacy := filepath.Join(dir, "legacy.json")
+	if err := os.WriteFile(legacy, []byte(`{"records_per_sec": 7e6, "event_clock_speedup": 2.7, "suite_scale": 0.0625}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := LoadReport(legacy); err != nil || got.RecordsPerSec != 7e6 || got.SuiteScale != 0.0625 {
+		t.Fatalf("legacy baseline: got %+v, err %v", got, err)
+	}
 }
 
 // TestReportEnvString: pre-stamping reports (nil env) print a placeholder

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -47,4 +49,16 @@ func TestTrafficParallelIdentity(t *testing.T) {
 			t.Fatalf("cell %d rows differ beyond dumps:\n  seq: %+v\n  par: %+v", i, s, p)
 		}
 	}
+}
+
+// firstDumpDiff renders the first diverging line of two stats dumps.
+func firstDumpDiff(a, b []byte) string {
+	al := bytes.Split(a, []byte("\n"))
+	bl := bytes.Split(b, []byte("\n"))
+	for i := 0; i < len(al) && i < len(bl); i++ {
+		if !bytes.Equal(al[i], bl[i]) {
+			return fmt.Sprintf("line %d:\n  sequential: %s\n  parallel:   %s", i+1, al[i], bl[i])
+		}
+	}
+	return "dumps differ in length only"
 }

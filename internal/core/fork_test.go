@@ -9,6 +9,7 @@ import (
 
 	"kindle/internal/machine"
 	"kindle/internal/persist"
+	"kindle/internal/sim"
 	"kindle/internal/trace"
 )
 
@@ -127,17 +128,73 @@ func TestForkIdentityWithPersistence(t *testing.T) {
 	}
 }
 
+// TestForkIdentityEventClock forks a persistent replay right after an idle
+// stretch and idles the child again before it finishes the trace: the
+// checkpoint timers re-armed from the snapshot must fire at the same
+// boundaries the event loop reaches on the cold run, and leave the same
+// deadline pending.
 func TestForkIdentityEventClock(t *testing.T) {
+	const idle, tick = 5 * time.Millisecond, 10 * time.Microsecond
 	cfg := machine.TestConfig()
-	cfg.EventDrivenClock = true
-	scheme := persist.Rebuild
-	wantDump, wantClock := coldForkRun(t, cfg, &scheme)
-	child, _, childClock := warmForkRun(t, cfg, &scheme)
-	if childClock != wantClock {
-		t.Fatalf("forked clock %d != cold %d", childClock, wantClock)
+	img := smallImage(t)
+	// warm replays the prefix and idles once, exactly as far as the fork.
+	warm := func() (*Framework, *Replay) {
+		f := New(cfg)
+		mgr, err := f.EnablePersistence(persist.Rebuild, 2*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mgr.Start()
+		_, rep, err := f.LaunchInit(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rep.Step(forkWarmup); err != nil {
+			t.Fatal(err)
+		}
+		f.RunIdle(idle, tick)
+		return f, rep
 	}
-	if child != wantDump {
-		t.Fatalf("forked dump differs from cold boot:\n%s", firstDiff(child, wantDump))
+	// finish idles a second time and replays the rest of the trace. It
+	// returns how many checkpoints that idle started and the deadline it
+	// left pending.
+	finish := func(f *Framework, rep *Replay) (started uint64, next sim.Cycles) {
+		before := f.M.Stats.Get("persist.checkpoints_started")
+		f.RunIdle(idle, tick)
+		started = f.M.Stats.Get("persist.checkpoints_started") - before
+		next, ok := f.M.Events.NextDeadline()
+		if !ok {
+			t.Fatal("no event pending after the idle stretch")
+		}
+		if err := rep.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return started, next
+	}
+
+	cold, crep := warm()
+	coldIdle, coldNext := finish(cold, crep)
+	if coldIdle == 0 {
+		t.Fatal("the idle stretch started no checkpoint")
+	}
+
+	parent, prep := warm()
+	child, chrep, err := RunFromSnapshot(parent.Snapshot(prep), traceSource(t, img))
+	if err != nil {
+		t.Fatal(err)
+	}
+	childIdle, childNext := finish(child, chrep)
+	if childIdle != coldIdle {
+		t.Fatalf("forked idle started %d checkpoints, cold %d", childIdle, coldIdle)
+	}
+	if childNext != coldNext {
+		t.Fatalf("forked idle left deadline %d pending, cold %d", childNext, coldNext)
+	}
+	if got, want := child.M.Clock.Now(), cold.M.Clock.Now(); got != want {
+		t.Fatalf("forked clock %d != cold %d", got, want)
+	}
+	if got, want := child.M.Stats.Dump(""), cold.M.Stats.Dump(""); got != want {
+		t.Fatalf("forked dump differs from cold boot:\n%s", firstDiff(got, want))
 	}
 }
 

@@ -300,9 +300,9 @@ func (k *Kernel) HandlePageFault(va uint64, write bool) (sim.Cycles, error) {
 func (k *Kernel) Tick() { k.M.Tick() }
 
 // Idle passes d cycles of simulated time with no process work, firing timer
-// and device events along the way. tick is the stepped engine's cycle-group
-// grain (0 = a single step); with Config.EventDrivenClock the machine jumps
-// dead time instead — see machine.RunUntil.
+// and device events along the way. tick is the boundary grain (0 = a single
+// step): an event fires at the first boundary at or after its deadline, and
+// the clock jumps the empty boundaries in between — see machine.RunUntil.
 func (k *Kernel) Idle(d, tick sim.Cycles) {
 	k.M.RunUntil(k.M.Clock.Now()+d, tick)
 }

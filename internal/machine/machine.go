@@ -30,14 +30,11 @@ type Config struct {
 	// isolating fast-path bugs.
 	DisableFastPaths bool
 
-	// EventDrivenClock makes Machine.RunUntil advance the virtual clock
-	// directly to the next group boundary with a due event instead of
-	// ticking every cycle group through dead time. Simulated output is
-	// bit-identical either way (same boundaries fire the same events; the
-	// skipped boundaries are exactly the ones where RunDue would have been
-	// a no-op) — pinned by TestEventClockStatsIdentity and the machine
-	// run-loop property tests, same identity-gate pattern as
-	// DisableFastPaths.
+	// EventDrivenClock is read by nothing: RunUntil always advances the
+	// clock event to event. The field remains only so that code which
+	// still assigns it (the perfbench module) keeps compiling.
+	//
+	// Deprecated: has no effect.
 	EventDrivenClock bool
 
 	// Trace enables the structured event tracer. Zero-value Categories
@@ -112,8 +109,8 @@ func New(cfg Config) *Machine {
 		TLB:    t,
 		Core:   core,
 	}
-	// NVM write-buffer drains surface as "nvm.drain" events so the
-	// event-driven run loop sees them as deadlines (Config.EventDrivenClock).
+	// NVM write-buffer drains surface as "nvm.drain" events so RunUntil
+	// sees them as deadlines.
 	ctrl.NVM().SetEvents(m.Events)
 	if cfg.Trace.Categories != 0 {
 		capacity := cfg.Trace.BufferCap

@@ -4,18 +4,17 @@ import "kindle/internal/sim"
 
 // RunUntil advances the machine with no instructions in flight until the
 // clock reaches target, firing due events along the way. group is the
-// cycle-group grain of the stepped engine: the clock advances group cycles
-// at a time (clamped at target) and Tick runs at each boundary, exactly as
-// an OS run loop interleaving Clock.Advance with Machine.Tick would.
-// group <= 0 means a single step to target.
+// boundary grain: events fire only at boundaries group cycles apart,
+// measured from wherever the clock stands, so an event fires at the first
+// boundary at or after its deadline (clamped at target) — exactly as an OS
+// run loop interleaving Clock.Advance(group) with Machine.Tick would fire
+// it. group 0, or a group reaching past target, means a single step to
+// target.
 //
-// With Cfg.EventDrivenClock set, the loop instead jumps the clock straight
-// to the first group boundary at or past the earliest pending deadline
-// (clamped at target). Boundaries strictly before that deadline have no due
-// events — their Tick is a no-op with zero observable effect — so skipping
-// them leaves clocks, stats and event firing order byte-identical to the
-// stepped engine. Handlers that advance the clock themselves (checkpoints
-// do) are handled identically in both engines: each iteration re-reads the
+// The loop jumps the clock straight to the boundary that fires the
+// earliest pending deadline instead of visiting the empty boundaries
+// before it; their Tick would be a no-op. Handlers that advance the clock
+// themselves (checkpoints do) move the origin: each iteration re-reads the
 // clock and measures the next boundary from wherever the last handler left
 // it.
 func (m *Machine) RunUntil(target, group sim.Cycles) {
@@ -23,28 +22,15 @@ func (m *Machine) RunUntil(target, group sim.Cycles) {
 	if target <= now {
 		return
 	}
-	if group <= 0 {
+	if group <= 0 || group > target-now {
 		group = target - now
-	}
-	if !m.Cfg.EventDrivenClock {
-		for now < target {
-			step := group
-			if rem := target - now; rem < step {
-				step = rem
-			}
-			m.Clock.Advance(step)
-			m.Tick()
-			now = m.Clock.Now()
-		}
-		return
 	}
 	for now < target {
 		next := target
 		if when, ok := m.Events.NextDeadline(); ok && when <= target {
 			// First group boundary >= the deadline. A deadline already
 			// at or before now (scheduled by a handler that just ran)
-			// fires at the next boundary, now+group — the stepped engine
-			// would not see it before then either.
+			// fires at the next boundary, now+group.
 			boundary := now + group
 			if when > now {
 				k := (when - now + group - 1) / group

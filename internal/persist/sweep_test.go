@@ -291,19 +291,23 @@ func TestV2PMirrorIndices(t *testing.T) {
 // TestSweepPrefixForkIdentity pins the prefix-fork claim directly: running
 // the op loop on a machine forked from the plan's prefix snapshot must end
 // in a state byte-identical to a cold machine running boot + ops end to
-// end, under both clock engines.
+// end. stepped passes each op gap as one clock step (IdleTick 0);
+// event-clock passes it at a 1 µs grain, so the run loop jumps from event
+// to event inside the gap and checkpoints fire mid-gap.
 func TestSweepPrefixForkIdentity(t *testing.T) {
-	for _, eventClock := range []bool{false, true} {
-		name := "stepped"
-		if eventClock {
-			name = "event-clock"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		tick sim.Cycles
+	}{
+		{"stepped", 0},
+		{"event-clock", sim.FromDuration(time.Microsecond)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := sweepTestCfg(Rebuild)
-			cfg.EventClock = eventClock
+			cfg.IdleTick = tc.tick
 			full := cfg.withDefaults()
 
-			cold := machine.New(cfg.machineConfig())
+			cold := machine.New(machine.TestConfig())
 			cold.SetCommitHook(fault.NewObserver())
 			if err := runSweepWorkload(cold, full, fault.NewObserver(), nil); err != nil {
 				t.Fatal(err)
@@ -314,6 +318,9 @@ func TestSweepPrefixForkIdentity(t *testing.T) {
 			plan, err := PlanSweep(cfg)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if plan.Checkpoints == 0 {
+				t.Fatal("sweep workload started no checkpoint")
 			}
 			if plan.prefix == nil {
 				t.Fatal("plan carries no prefix snapshot")

@@ -9,8 +9,7 @@
 // persistence is attached) checkpoint bandwidth.
 //
 // Determinism is the contract: the same Spec and seed produce byte-
-// identical stats dumps run after run, and under the stepped and the
-// event-driven clock engines alike. Every random draw comes from seeded
+// identical stats dumps run after run. Every random draw comes from seeded
 // sim.RNG streams (one per tenant), every scheduling decision depends only
 // on the virtual clock, and all iteration is in tenant-index order.
 package traffic
@@ -167,8 +166,9 @@ type Spec struct {
 	// op boundaries, so a long scan overruns its slice and is rotated out
 	// at the next boundary.
 	Quantum time.Duration
-	// IdleTick is the stepped engine's cycle-group grain while the engine
-	// idles between arrivals (the event-driven clock jumps instead).
+	// IdleTick is the boundary grain while the engine idles between
+	// arrivals: a timer fires at the first boundary at or after its
+	// deadline.
 	IdleTick time.Duration
 }
 

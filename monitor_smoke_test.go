@@ -1,9 +1,9 @@
 package kindle_test
 
-// Monitor smoke test (`make monitorsmoke`, part of `make check`): build the
-// real kindle binary, run a tiny replay with -monitor, and drive the live
-// endpoint over HTTP — /metrics must parse as Prometheus text exposition
-// and /progress must reach 100%. The child is a separate, non-instrumented
+// Monitor smoke test (`make monitorsmoke`, part of `make check`): run the
+// real kindle binary (built once per test process, see kindleCLI) on a tiny
+// replay with -monitor, and drive the live endpoint over HTTP — /metrics
+// must parse as Prometheus text exposition and /progress must reach 100%. The child is a separate, non-instrumented
 // process, so this also exercises live mid-run scraping (benign-race
 // counter sampling) in a way in-process race-instrumented tests must not.
 
@@ -13,7 +13,6 @@ import (
 	"io"
 	"net/http"
 	"os/exec"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -22,14 +21,7 @@ import (
 )
 
 func TestMonitorSmoke(t *testing.T) {
-	gobin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
-	bin := filepath.Join(t.TempDir(), "kindle")
-	if out, err := exec.Command(gobin, "build", "-o", bin, "./cmd/kindle").CombinedOutput(); err != nil {
-		t.Fatalf("building cmd/kindle: %v\n%s", err, out)
-	}
+	bin, _ := kindleCLI(t)
 
 	// -monitor-hold keeps the endpoint up after the replay finishes so the
 	// test can observe the terminal /progress state without racing the
