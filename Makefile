@@ -19,9 +19,12 @@ test:
 # harness can't silently rot, a build-and-smoke of the perfbench module,
 # two bounded commit-point crash sweeps, a short fuzz of the trace
 # decoders, the NVM pending store and the run loop, the live-monitor smoke
-# (real kindle binary scraped over HTTP mid-run), and the real-binary
-# identity matrix (-shards 1 vs 4, cold vs snapshot capture vs resumes, a
-# seeded traffic spec run twice, and bad arguments refused).
+# (real kindle binary scraped over HTTP mid-run in replay, resume, traffic
+# and sharded mode), and the CLI checks (kindle's refusal table unit-tested
+# on parseFlags, plus the real-binary identity matrix: -shards 1 vs 4, cold
+# vs snapshot capture vs resumes with and without an idle tail, a seeded
+# traffic spec run twice and with the interval dumper and tracer attached,
+# and one refused command line).
 check: fmt vet race allocguard cpusweep benchsmoke perfbenchsmoke crashsweep fuzzsmoke monitorsmoke clismoke
 
 # allocguard pins the replay fast path's zero-allocation steady state (see
@@ -79,18 +82,24 @@ fuzzsmoke:
 	$(GO) test -run XXX -fuzz '^FuzzPersistDomain$$' -fuzztime 10s ./internal/mem
 	$(GO) test -run XXX -fuzz '^FuzzRunUntil$$' -fuzztime 10s ./internal/machine
 
-# monitorsmoke builds the real kindle binary, runs a tiny replay with
-# -monitor, and asserts over HTTP that /metrics parses as Prometheus text
-# exposition and /progress reaches 100% (see monitor_smoke_test.go).
+# monitorsmoke builds the real kindle binary, runs it with -monitor in
+# every mode (replay, -snapshot-in, -traffic, -shards), and asserts over
+# HTTP that /metrics parses as Prometheus text exposition, /progress
+# reaches 100%, and the single-machine modes serve /events (see
+# monitor_smoke_test.go).
 monitorsmoke:
 	$(GO) test -run TestMonitorSmoke .
 
-# clismoke builds the real kindle binary once and runs the identity matrix:
-# each row's baseline and variants must write byte-identical stats dumps
-# (-shards 1 vs -shards 4; cold vs -snapshot-out vs two -snapshot-in
-# resumes; a seeded traffic spec run twice), and bad arguments must exit
-# non-zero (see cli_identity_test.go).
+# clismoke unit-tests kindle's flag parsing (every refused command line and
+# every newly composable cell, see cmd/kindle/flags_test.go), then builds
+# the real kindle binary once and runs the identity matrix: each row's
+# baseline and variants must write byte-identical stats dumps (-shards 1 vs
+# -shards 4; cold vs -snapshot-out vs two -snapshot-in resumes, and the
+# same with an -idle-after tail; a seeded traffic spec run twice, and with
+# -stats-interval and -trace-out, whose totals block must match), and a
+# refused command line must exit non-zero (see cli_identity_test.go).
 clismoke:
+	$(GO) test ./cmd/kindle
 	$(GO) test -run TestCLIIdentity .
 
 # lint runs staticcheck when it is installed (CI installs a pinned version;

@@ -5,11 +5,14 @@ package kindle_test
 // and run each row's baseline argument list plus variants that must
 // produce byte-identical stats dumps. This pins, end to end through flag
 // parsing, file formats and process boundaries, that sharding, snapshot
-// capture and resume, and seeded traffic leave the simulated results
-// unchanged.
+// capture and resume (with and without an idle tail), seeded traffic, and
+// the interval dumper and tracer on a traffic run leave the simulated
+// results unchanged. Which command lines kindle refuses is unit-tested on
+// parseFlags in cmd/kindle; one refusal here checks the process boundary.
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
@@ -94,14 +97,17 @@ type cliRun struct {
 func TestCLIIdentity(t *testing.T) {
 	bin, image := kindleCLI(t)
 	snap := filepath.Join(t.TempDir(), "warm.snap")
+	idleSnap := filepath.Join(t.TempDir(), "idle.snap")
 	const spec = "tenants=6;ops=400;mix=scan:0.2,point:0.7,write:0.1;footprint=128KiB"
 	traffic := []string{"-traffic", spec, "-seed", "7", "-small", "-persist", "rebuild", "-interval", "300us"}
+	idle := []string{"-image", image, "-persist", "rebuild", "-interval", "500us", "-idle-after", "3ms"}
 
 	rows := []struct {
 		name     string
 		base     cliRun
 		variants []cliRun // run in order, each diffed against base
 		want     string   // a stat every dump must carry, if set
+		observed bool     // variants run with the interval dumper and tracer; see runObserved
 	}{
 		{
 			name:     "shards",
@@ -127,6 +133,25 @@ func TestCLIIdentity(t *testing.T) {
 			variants: []cliRun{{"traffic-again", traffic}},
 			want:     "traffic.t0005.lat::samples",
 		},
+		{
+			// The idle tail composes with capture and resume: checkpoints
+			// keep firing after the replay, identically on all three runs.
+			name: "snapshot-idle",
+			base: cliRun{"cold-idle", idle},
+			variants: []cliRun{
+				{"snapshot-out-idle", slices.Concat(idle, []string{"-snapshot-out", idleSnap, "-snapshot-at", "8000"})},
+				{"resume-idle", []string{"-image", image, "-snapshot-in", idleSnap, "-idle-after", "3ms"}},
+			},
+			want: "persist.checkpoints",
+		},
+		{
+			// The interval dumper and the tracer watch a traffic run
+			// without perturbing it.
+			name:     "traffic-observed",
+			base:     cliRun{"traffic", traffic},
+			variants: []cliRun{{"traffic-observed", traffic}},
+			observed: true,
+		},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -135,33 +160,53 @@ func TestCLIIdentity(t *testing.T) {
 				t.Fatalf("%s: stats dump lacks %s", row.base.name, row.want)
 			}
 			for _, v := range row.variants {
-				if got := runKindle(t, bin, v); !bytes.Equal(base, got) {
+				run := runKindle
+				if row.observed {
+					run = runObserved
+				}
+				if got := run(t, bin, v); !bytes.Equal(base, got) {
 					t.Fatalf("%s differs from %s:\n%s", v.name, row.base.name, firstLineDiff(base, got))
 				}
 			}
 		})
 	}
 
-	// Bad arguments are refused up front with an error naming the flag, on
-	// runs that would otherwise succeed.
-	for _, bad := range []struct {
-		flag string
-		args []string
-	}{
-		{"-idle-tick", []string{"-image", image, "-persist", "rebuild", "-idle-after", "1ms", "-idle-tick=-1us"}},
-		{"-idle-after", []string{"-image", image, "-idle-after=-1ms"}},
-		{"-event-clock", []string{"-image", image, "-event-clock"}},
-	} {
-		t.Run("bad"+bad.flag, func(t *testing.T) {
-			out, err := exec.Command(bin, bad.args...).CombinedOutput()
-			if err == nil {
-				t.Fatalf("kindle %s exited 0:\n%s", strings.Join(bad.args, " "), out)
-			}
-			if !bytes.Contains(out, []byte(bad.flag)) {
-				t.Fatalf("error does not name %s:\n%s", bad.flag, out)
-			}
-		})
+	// A refused command line exits non-zero with the reason, naming the
+	// flag, on stderr.
+	t.Run("bad-idle-after", func(t *testing.T) {
+		args := []string{"-image", image, "-idle-after=-1ms"}
+		var stderr bytes.Buffer
+		cmd := exec.Command(bin, args...)
+		cmd.Stderr = &stderr
+		if err := cmd.Run(); err == nil {
+			t.Fatalf("kindle %s exited 0", strings.Join(args, " "))
+		}
+		if !strings.Contains(stderr.String(), "-idle-after") {
+			t.Fatalf("stderr does not name -idle-after:\n%s", stderr.String())
+		}
+	})
+}
+
+// runObserved runs r with -stats-interval and -trace-out added and returns
+// the totals block of its stats dump, after checking that the run wrote
+// at least one interval block and a Chrome trace that parses as JSON.
+func runObserved(t *testing.T, bin string, r cliRun) []byte {
+	t.Helper()
+	tracePath := filepath.Join(t.TempDir(), r.name+".json")
+	dump := runKindle(t, bin, cliRun{r.name, slices.Concat(r.args, []string{"-stats-interval", "100us", "-trace-out", tracePath})})
+	data, err := os.ReadFile(tracePath)
+	if err == nil && !json.Valid(data) {
+		err = fmt.Errorf("not valid JSON")
 	}
+	if err != nil {
+		t.Fatalf("%s: trace: %v", r.name, err)
+	}
+	begin := []byte("---------- Begin Simulation Statistics ----------")
+	second := bytes.Index(dump[len(begin):], begin)
+	if second < 0 {
+		t.Fatalf("%s wrote no interval block", r.name)
+	}
+	return dump[:len(begin)+second]
 }
 
 // runKindle runs one invocation and returns its non-empty stats dump.
