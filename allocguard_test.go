@@ -1,7 +1,7 @@
 package kindle_test
 
 // Zero-allocation guards for the replay fast path. The perf work in the
-// replay engine (translation cache, MRU probes, flat cache/TLB backing,
+// replay engine (translation cache, TLB MRU probe, flat cache/TLB backing,
 // pooled persist-domain buffers, recycled stream chunk buffers) holds only
 // if the steady state stays allocation-free — a single escaping value on
 // the per-record path costs more than the optimizations save. These tests

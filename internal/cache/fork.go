@@ -11,19 +11,11 @@ import (
 // captured — it is derived from the machine Config the restoring side
 // rebuilds with, and RestoreState rejects a mismatch.
 
-// WayState is one tag-store record.
-type WayState struct {
-	Addr uint64
-	LRU  uint64
-}
-
-// LevelState mirrors one cache level's mutable state.
+// LevelState mirrors one cache level's tag store word for word: every
+// way of every set, in recency order, each a line base with the dirty
+// flag in bit 0, and empty ways (all ones) at the tail of their set.
 type LevelState struct {
-	Tags  []WayState
-	Dirty []uint32
-	Lens  []int32
-	MRU   []int32
-	Clock uint64
+	Lines []uint64
 }
 
 // HierarchyState mirrors the full three-level stack.
@@ -32,31 +24,31 @@ type HierarchyState struct {
 }
 
 func (l *Level) captureState() LevelState {
-	st := LevelState{
-		Tags:  make([]WayState, len(l.tags)),
-		Dirty: append([]uint32(nil), l.dirtyBits...),
-		Lens:  append([]int32(nil), l.lens...),
-		MRU:   append([]int32(nil), l.mru...),
-		Clock: l.clock,
-	}
-	for i, w := range l.tags {
-		st.Tags[i] = WayState{Addr: uint64(w.addr), LRU: w.lru}
-	}
-	return st
+	return LevelState{Lines: append([]uint64(nil), l.lines...)}
 }
 
+// restoreState checks every word of st before overwriting anything, so a
+// corrupt snapshot is refused with the level as it was.
 func (l *Level) restoreState(st LevelState) error {
-	if len(st.Tags) != len(l.tags) || len(st.Lens) != len(l.lens) {
-		return fmt.Errorf("cache: %s geometry mismatch: %d/%d tags, %d/%d sets",
-			l.name, len(st.Tags), len(l.tags), len(st.Lens), len(l.lens))
+	if len(st.Lines) != len(l.lines) {
+		return fmt.Errorf("cache: %s geometry mismatch: %d ways in snapshot, %d in level",
+			l.name, len(st.Lines), len(l.lines))
 	}
-	for i, w := range st.Tags {
-		l.tags[i] = way{addr: mem.PhysAddr(w.Addr), lru: w.LRU}
+	for si := 0; si < l.sets; si++ {
+		set := st.Lines[si*l.ways : (si+1)*l.ways]
+		for i, w := range set {
+			if w == emptyWay {
+				continue
+			}
+			if i > 0 && set[i-1] == emptyWay {
+				return fmt.Errorf("cache: %s set %d: way %d holds %#x after an empty way", l.name, si, i, w)
+			}
+			if base := mem.PhysAddr(w &^ dirtyBit); base != mem.LineBase(base) || l.setIndex(base) != si {
+				return fmt.Errorf("cache: %s set %d: way %d holds %#x, not a line base of this set", l.name, si, i, w)
+			}
+		}
 	}
-	copy(l.dirtyBits, st.Dirty)
-	copy(l.lens, st.Lens)
-	copy(l.mru, st.MRU)
-	l.clock = st.Clock
+	copy(l.lines, st.Lines)
 	return nil
 }
 
@@ -70,7 +62,10 @@ func (h *Hierarchy) CaptureState() HierarchyState {
 }
 
 // RestoreState overwrites the hierarchy's tag state from a capture taken
-// on an identically configured hierarchy.
+// on an identically configured hierarchy. A capture of another geometry,
+// one without Lines (written before the caches kept recency-ordered
+// sets), or one with a corrupt set is refused with an error naming the
+// level and, where one is at fault, the set.
 func (h *Hierarchy) RestoreState(st HierarchyState) error {
 	if err := h.l1.restoreState(st.L1); err != nil {
 		return err

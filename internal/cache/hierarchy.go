@@ -86,15 +86,6 @@ func NewHierarchy(cfg HierConfig, ctrl *mem.Controller, clock *sim.Clock, stats 
 // SetMissObserver installs the LLC-miss hook (nil to remove).
 func (h *Hierarchy) SetMissObserver(fn MissObserver) { h.onMiss = fn }
 
-// SetMRUProbe enables or disables the per-set last-hit-way fast probe in
-// every level (on by default); see Level.access. The probe never changes
-// simulated state — the switch exists for the equivalence tests.
-func (h *Hierarchy) SetMRUProbe(on bool) {
-	h.l1.mruOff = !on
-	h.l2.mruOff = !on
-	h.llc.mruOff = !on
-}
-
 // SetTracer installs the event tracer (nil disables).
 func (h *Hierarchy) SetTracer(tr *obs.Tracer) { h.tr = tr }
 
@@ -177,17 +168,6 @@ func (h *Hierarchy) fillInto(l *Level, addr mem.PhysAddr, dirty bool) {
 	default:
 		h.writebackToMemory(victim)
 	}
-}
-
-// cleanToDirty marks addr dirty if resident.
-func (l *Level) cleanToDirty(addr mem.PhysAddr) (present, prev bool) {
-	si, w := l.lookup(addr)
-	if w < 0 {
-		return false, false
-	}
-	prev = l.dirtyBits[si]&(1<<uint(w)) != 0
-	l.dirtyBits[si] |= 1 << uint(w)
-	return true, prev
 }
 
 // writebackToMemory sends a dirty line to the controller. The write-back is

@@ -48,7 +48,7 @@ func bootPair(t *testing.T) (fast, slow *machine.Machine, dram, nvm uint64, page
 
 // TestFastPathEquivalenceRandomized is the property test for the whole
 // fast-path stack: the core's software translation cache, the single-line
-// Access shortcut, and the cache/TLB MRU-way probes. It drives a machine
+// Access shortcut, and the TLB's MRU-way probe. It drives a machine
 // with the fast paths on and a machine with DisableFastPaths through the
 // same randomized sequence of accesses (random page, offset, size — many
 // spanning lines and pages — and demand faults on first touch),

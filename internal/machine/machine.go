@@ -24,10 +24,10 @@ type Config struct {
 	Seed   uint64
 
 	// DisableFastPaths turns off the semantically invisible software fast
-	// paths (the core's translation cache and single-line access shortcut,
-	// the cache and TLB MRU-way probes). Simulated output is bit-identical
-	// either way — the switch exists for the equivalence tests and for
-	// isolating fast-path bugs.
+	// paths: the core's translation cache and single-line access shortcut,
+	// and the TLB's MRU-way probe. Simulated output is bit-identical either
+	// way — the switch exists for the equivalence tests and for isolating
+	// fast-path bugs.
 	DisableFastPaths bool
 
 	// EventDrivenClock is read by nothing: RunUntil always advances the
@@ -95,7 +95,6 @@ func New(cfg Config) *Machine {
 	core := cpu.New(clock, stats, t, hier, ctrl)
 	if cfg.DisableFastPaths {
 		core.SetFastPaths(false)
-		hier.SetMRUProbe(false)
 		t.SetMRUProbe(false)
 	}
 	m := &Machine{

@@ -77,10 +77,21 @@ func (l *level) captureState() LevelState {
 	return st
 }
 
+// restoreState checks every set's occupancy and MRU hint before
+// overwriting anything, so a corrupt snapshot is refused with the level as
+// it was instead of slicing a set out of range on the next lookup.
 func (l *level) restoreState(st LevelState) error {
-	if len(st.Entries) != len(l.store) || len(st.Lens) != len(l.lens) {
-		return fmt.Errorf("tlb: %s geometry mismatch: %d/%d entries, %d/%d sets",
-			l.name, len(st.Entries), len(l.store), len(st.Lens), len(l.lens))
+	if len(st.Entries) != len(l.store) || len(st.Lens) != l.sets || len(st.MRU) != l.sets {
+		return fmt.Errorf("tlb: %s geometry mismatch: %d/%d entries, %d lens and %d MRU hints for %d sets",
+			l.name, len(st.Entries), len(l.store), len(st.Lens), len(st.MRU), l.sets)
+	}
+	for si, n := range st.Lens {
+		if n < 0 || int(n) > l.ways {
+			return fmt.Errorf("tlb: %s set %d: %d valid ways, outside [0, %d]", l.name, si, n, l.ways)
+		}
+		if m := st.MRU[si]; m < 0 || int(m) >= l.ways {
+			return fmt.Errorf("tlb: %s set %d: MRU way %d, outside [0, %d)", l.name, si, m, l.ways)
+		}
 	}
 	for i := range l.store {
 		l.store[i] = entryOf(st.Entries[i])
