@@ -19,7 +19,7 @@ test:
 # one-iteration pass over every benchmark so the perf harness can't
 # silently rot, a build-and-smoke of the perfbench module, two bounded
 # commit-point crash sweeps, a short fuzz of the trace decoders, the NVM
-# pending store, the run loop and the cache level, the live-monitor smoke
+# pending store, the run loop, the cache level and the TLB, the live-monitor smoke
 # (real kindle binary scraped over HTTP mid-run in replay, resume, traffic
 # and sharded mode), and the CLI checks (kindle's refusal table unit-tested
 # on parseFlags, plus the real-binary identity matrix: -shards 1 vs 4, cold
@@ -83,15 +83,18 @@ crashsweep:
 # internal/trace/fuzz_test.go), the NVM pending store checked against its
 # map-based reference (see internal/mem/persist_fuzz_test.go), the
 # run loop checked against the stepped reference (see
-# internal/machine/runloop_test.go), and the recency-ordered cache level
+# internal/machine/runloop_test.go), the recency-ordered cache level
 # checked against the timestamp-LRU reference (see
-# internal/cache/level_ref_test.go). go test fuzzes one target per run.
+# internal/cache/level_ref_test.go), and the pooled TLB checked against the
+# stamp-LRU TLB it replaced (see internal/tlb/tlb_ref_test.go). go test
+# fuzzes one target per run.
 fuzzsmoke:
 	$(GO) test -run XXX -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run XXX -fuzz '^FuzzChunkIndex$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run XXX -fuzz '^FuzzPersistDomain$$' -fuzztime 10s ./internal/mem
 	$(GO) test -run XXX -fuzz '^FuzzRunUntil$$' -fuzztime 10s ./internal/machine
 	$(GO) test -run XXX -fuzz '^FuzzCacheLevel$$' -fuzztime 10s ./internal/cache
+	$(GO) test -run XXX -fuzz '^FuzzTLB$$' -fuzztime 10s ./internal/tlb
 
 # monitorsmoke builds the real kindle binary, runs it with -monitor in
 # every mode (replay, -snapshot-in, -traffic, -shards), and asserts over

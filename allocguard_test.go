@@ -1,7 +1,7 @@
 package kindle_test
 
 // Zero-allocation guards for the replay fast path. The perf work in the
-// replay engine (translation cache, TLB MRU probe, flat cache/TLB backing,
+// replay engine (pooled TLB entries, recency-ordered cache and TLB sets,
 // pooled persist-domain buffers, recycled stream chunk buffers) holds only
 // if the steady state stays allocation-free — a single escaping value on
 // the per-record path costs more than the optimizations save. These tests
@@ -22,34 +22,59 @@ import (
 
 // TestReplayStepZeroAlloc: once the working set is faulted in, stepping the
 // materialized replay (TLB → page table → caches → memory, kernel ticking)
-// must not allocate.
+// must not allocate. YCSB mostly hits the L1 TLB; a third of PageRank's
+// accesses miss it and promote an STLB entry.
 func TestReplayStepZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	cfg := workloads.DefaultYCSB()
-	cfg.Ops = 100_000
-	img, err := workloads.YCSB(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := core.NewDefault()
-	_, rep, err := f.LaunchInit(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm-up: fault in the working set, grow the persist-domain buffer
-	// pool and the allocator map to their high-water marks.
-	if _, err := rep.Step(20_000); err != nil {
-		t.Fatal(err)
-	}
-	avg := testing.AllocsPerRun(200, func() {
-		if _, err := rep.Step(64); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("steady-state replay step allocates %.1f times per 64 records, want 0", avg)
+	ycsb := workloads.DefaultYCSB()
+	ycsb.Ops = 100_000
+	pr := workloads.DefaultPageRank()
+	pr.Ops = 200_000
+	for _, c := range []struct {
+		name   string
+		image  func() (*trace.Image, error)
+		warmup int
+		// minPromoted is the least share of the measured records that
+		// must promote an STLB entry, so the guard covers that path.
+		minPromoted float64
+	}{
+		{"ycsb", func() (*trace.Image, error) { return workloads.YCSB(ycsb) }, 20_000, 0},
+		{"pagerank", func() (*trace.Image, error) { return workloads.PageRank(pr) }, 150_000, 0.2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			img, err := c.image()
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := core.NewDefault()
+			_, rep, err := f.LaunchInit(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Warm-up: fault in the working set, grow the persist-domain
+			// buffer pool and the allocator map to their high-water marks.
+			if _, err := rep.Step(c.warmup); err != nil {
+				t.Fatal(err)
+			}
+			promoted := f.M.Stats.Get("tlb.l2.hit")
+			runs := 0
+			avg := testing.AllocsPerRun(200, func() {
+				if _, err := rep.Step(64); err != nil {
+					t.Fatal(err)
+				}
+				runs++
+			})
+			if avg != 0 {
+				t.Fatalf("steady-state replay step allocates %.1f times per 64 records, want 0", avg)
+			}
+			promoted = f.M.Stats.Get("tlb.l2.hit") - promoted
+			if share := float64(promoted) / float64(runs*64); share < c.minPromoted {
+				t.Fatalf("%.0f%% of the measured records promoted an STLB entry, want at least %.0f%%",
+					100*share, 100*c.minPromoted)
+			}
+		})
 	}
 }
 

@@ -54,11 +54,11 @@ type Config struct {
 	Latency sim.Cycles // access (hit) latency
 }
 
-// NewLevel builds one cache level. Size must be a multiple of
+// NewLevel builds one cache level. Size must be a non-zero multiple of
 // Ways*LineSize.
 func NewLevel(cfg Config, stats *sim.Stats) *Level {
 	linesTotal := int(cfg.Size / mem.LineSize)
-	if cfg.Ways <= 0 || linesTotal%cfg.Ways != 0 {
+	if cfg.Ways <= 0 || linesTotal == 0 || linesTotal%cfg.Ways != 0 {
 		panic(fmt.Sprintf("cache: bad geometry for %s: %d lines, %d ways", cfg.Name, linesTotal, cfg.Ways))
 	}
 	sets := linesTotal / cfg.Ways

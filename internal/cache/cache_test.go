@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -18,12 +20,21 @@ func newTestHier(t testing.TB) (*Hierarchy, *mem.Controller, *sim.Clock, *sim.St
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("bad geometry did not panic")
-		}
-	}()
-	NewLevel(Config{Name: "x", Size: 100, Ways: 3}, sim.NewStats())
+	for _, cfg := range []Config{
+		{Name: "x", Size: 100, Ways: 3},
+		{Name: "x", Size: 32, Ways: 4}, // less than one line: no sets
+		{Name: "x", Size: 4 * mem.LineSize},
+	} {
+		t.Run(fmt.Sprintf("size %d ways %d", cfg.Size, cfg.Ways), func(t *testing.T) {
+			defer func() {
+				got, _ := recover().(string)
+				if !strings.Contains(got, "cache: bad geometry for x") {
+					t.Fatalf("panic %q, want the bad-geometry message", got)
+				}
+			}()
+			NewLevel(cfg, sim.NewStats())
+		})
+	}
 }
 
 func TestHitLatencyOrdering(t *testing.T) {

@@ -80,21 +80,6 @@ type Hooks interface {
 	OnLLCMiss(e *tlb.Entry, va uint64, write bool)
 }
 
-// tcSlots sizes the core's software translation cache. 64 direct-mapped
-// entries cover the hot pages between TLB structural changes; the array is
-// small enough that the whole cache stays in the host's L1.
-const tcSlots = 64
-
-// tcEntry is one translation-cache slot: a VPN, the TLB entry it resolved
-// to, and the TLB structural generation at fill time. The slot hits only
-// while the generation is unchanged, which guarantees the pointer still
-// names a live L1 TLB slot holding the same translation.
-type tcEntry struct {
-	vpn uint64
-	gen uint64
-	e   *tlb.Entry
-}
-
 // Core is a single simulated CPU.
 type Core struct {
 	clock *sim.Clock
@@ -119,15 +104,7 @@ type Core struct {
 
 	llcMissed bool // scratch flag set by the hierarchy miss observer
 
-	// Software translation cache: the entries returned by recent
-	// successful translates, direct-mapped on VPN, each valid while the
-	// TLB's structural generation is unchanged since it was cached.
-	// Accesses that alternate among a working set of hot pages (the
-	// common replay pattern) skip the TLB set scan entirely; FastHit
-	// keeps LRU state, stats and timing identical to the L1 lookup hit
-	// it replaces, so the cache is semantically invisible.
-	tc      [tcSlots]tcEntry
-	fastOff bool // disables the tc and Access fast path (equivalence testing)
+	fastOff bool // disables the Access fast path (equivalence testing)
 
 	tr *obs.Tracer // nil when tracing is off
 
@@ -188,17 +165,12 @@ func (c *Core) SetTracer(tr *obs.Tracer) { c.tr = tr }
 // SetHooks installs prototype observation hooks (nil clears).
 func (c *Core) SetHooks(h Hooks) { c.hooks = h }
 
-// SetFastPaths enables or disables the core's software fast paths (on by
-// default): the N-entry translation cache and the single-line Access
-// shortcut. Both are exact specializations of the slow path — simulated
-// time, stats and hook firings are bit-identical either way — so the
-// switch exists only for the equivalence tests that pin that claim.
-func (c *Core) SetFastPaths(on bool) {
-	c.fastOff = !on
-	if !on {
-		c.tc = [tcSlots]tcEntry{}
-	}
-}
+// SetFastPaths enables or disables the core's single-line Access shortcut
+// (on by default). It is an exact specialization of the general access
+// loop — simulated time, stats and hook firings are bit-identical either
+// way — so the switch exists only for the equivalence tests that pin that
+// claim.
+func (c *Core) SetFastPaths(on bool) { c.fastOff = !on }
 
 // SetAddressSpace points the core's PTBR at table and flushes the TLB
 // (firing eviction hooks, as a real context switch would let the prototype
@@ -247,24 +219,11 @@ func (c *Core) charge(lat sim.Cycles) {
 // needed. The returned entry is live TLB state.
 func (c *Core) translate(va uint64, write bool) (*tlb.Entry, error) {
 	vpn := va / mem.PageSize
-	if !c.fastOff {
-		if s := &c.tc[vpn&(tcSlots-1)]; s.vpn == vpn && s.gen == c.TLB.Gen() && s.e != nil {
-			// The translation was cached while it sat in the TLB's L1 and
-			// the TLB has not been structurally touched since, so it still
-			// does. FastHit charges and counts exactly what the full
-			// lookup would.
-			lat := c.TLB.FastHit(s.e)
-			c.charge(lat)
-			c.tlbLookupLat.ObserveCycles(lat)
-			return s.e, nil
-		}
-	}
 	for attempt := 0; attempt < 3; attempt++ {
 		e, lat := c.TLB.Lookup(vpn)
 		c.charge(lat)
 		c.tlbLookupLat.ObserveCycles(lat)
 		if e != nil {
-			c.tc[vpn&(tcSlots-1)] = tcEntry{vpn: vpn, gen: c.TLB.Gen(), e: e}
 			return e, nil
 		}
 		if c.tr.Enabled(obs.CatTLB) {
@@ -287,14 +246,12 @@ func (c *Core) translate(va uint64, write bool) (*tlb.Entry, error) {
 			// hardware fill path does. Charging a fresh Lookup here (the
 			// pre-fix behavior) double-charged every TLB fill with an L1
 			// probe the real machine never issues.
-			e := c.TLB.InsertAndGet(tlb.Entry{
+			return c.TLB.Insert(tlb.Entry{
 				VPN:      vpn,
 				PFN:      leaf.PFN(),
 				Writable: leaf.Writable(),
 				NVM:      leaf.NVM(),
-			})
-			c.tc[vpn&(tcSlots-1)] = tcEntry{vpn: vpn, gen: c.TLB.Gen(), e: e}
-			return e, nil
+			}), nil
 		}
 		if c.fault == nil {
 			return nil, &PageFaultError{VA: va, Write: write, Cause: "no fault handler"}
@@ -426,7 +383,6 @@ func (c *Core) VirtToPhys(va uint64) (mem.PhysAddr, bool) {
 // Reset models the core losing volatile state at power failure.
 func (c *Core) Reset() {
 	c.Regs = Registers{}
-	c.tc = [tcSlots]tcEntry{} // release stale TLB pointers
 	c.msrs = make(map[uint32]uint64)
 	c.TLB.Reset()
 	c.table = nil

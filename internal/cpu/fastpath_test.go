@@ -46,15 +46,13 @@ func bootPair(t *testing.T) (fast, slow *machine.Machine, dram, nvm uint64, page
 	return fast, slow, dramF, nvmF, regionPages
 }
 
-// TestFastPathEquivalenceRandomized is the property test for the whole
-// fast-path stack: the core's software translation cache, the single-line
-// Access shortcut, and the TLB's MRU-way probe. It drives a machine
-// with the fast paths on and a machine with DisableFastPaths through the
-// same randomized sequence of accesses (random page, offset, size — many
+// TestFastPathEquivalenceRandomized is the property test for the core's
+// fast path, the single-line Access shortcut. It drives a machine with the
+// fast path on and a machine with DisableFastPaths through the same
+// randomized sequence of accesses (random page, offset, size — many
 // spanning lines and pages — and demand faults on first touch),
-// single-page TLB shootdowns, and full TLB flushes (which bump the
-// structural generation the translation cache keys on). Every operation
-// must charge the same latency, the clocks must stay in lockstep, and the
+// single-page TLB shootdowns, and full TLB flushes. Every operation must
+// charge the same latency, the clocks must stay in lockstep, and the
 // final gem5-format stats dumps must be byte-identical.
 func TestFastPathEquivalenceRandomized(t *testing.T) {
 	for _, seed := range []uint64{3, 17, 0xBADCAB} {
@@ -189,8 +187,8 @@ func TestOnTranslateFiresOncePerPage(t *testing.T) {
 				fmt.Sprintf("vpn=%#x write=true", vpn),
 				fmt.Sprintf("vpn=%#x write=true", vpn+1))
 
-			// A structural flush invalidates the translation cache; the
-			// re-walk still fires exactly once.
+			// A full flush forces a re-walk, which still fires exactly
+			// once.
 			m.TLB.InvalidateAll()
 			mustAccess(a, false, 8)
 			expect("post-flush read", fmt.Sprintf("vpn=%#x write=false", vpn))

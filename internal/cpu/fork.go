@@ -7,9 +7,6 @@ import (
 )
 
 // Snapshot mirror of the core's architectural state, for machine forks.
-// The software translation cache is deliberately not captured: it is an
-// exact specialization of the slow path (semantically invisible), so a
-// fork restarting with a cold tc produces bit-identical simulated state.
 
 // MSRState is one model-specific register value.
 type MSRState struct {
@@ -35,9 +32,7 @@ func (c *Core) CaptureState() CoreState {
 	return st
 }
 
-// RestoreState overwrites the core's architectural state and drops the
-// software translation cache (its cached TLB pointers belong to another
-// machine's TLB).
+// RestoreState overwrites the core's architectural state.
 func (c *Core) RestoreState(st CoreState) {
 	c.Regs = st.Regs
 	c.msrs = make(map[uint32]uint64, len(st.MSRs))
@@ -45,7 +40,6 @@ func (c *Core) RestoreState(st CoreState) {
 		c.msrs[m.Index] = m.Value
 	}
 	c.kernelDepth = st.KernelDepth
-	c.tc = [tcSlots]tcEntry{}
 	c.llcMissed = false
 }
 

@@ -24,10 +24,9 @@ type Config struct {
 	Seed   uint64
 
 	// DisableFastPaths turns off the semantically invisible software fast
-	// paths: the core's translation cache and single-line access shortcut,
-	// and the TLB's MRU-way probe. Simulated output is bit-identical either
-	// way — the switch exists for the equivalence tests and for isolating
-	// fast-path bugs.
+	// path: the core's single-line access shortcut. Simulated output is
+	// bit-identical either way — the switch exists for the equivalence
+	// tests and for isolating fast-path bugs.
 	DisableFastPaths bool
 
 	// EventDrivenClock is read by nothing: RunUntil always advances the
@@ -95,7 +94,6 @@ func New(cfg Config) *Machine {
 	core := cpu.New(clock, stats, t, hier, ctrl)
 	if cfg.DisableFastPaths {
 		core.SetFastPaths(false)
-		t.SetMRUProbe(false)
 	}
 	m := &Machine{
 		Cfg:    cfg,

@@ -17,13 +17,12 @@ import (
 
 // Entry is one TLB translation with Kindle's prototype extensions.
 //
-// Field order is deliberate: VPN and lru lead so the tag compares and LRU
-// loads of a set scan land in the same host cache line per entry, and the
-// bool/uint32 fields pack at the tail, keeping the entry at 56 bytes —
-// the set scans in lookup/insert/take are the hottest loops in the TLB.
+// Entries live in a pool owned by the TLB and never move between levels:
+// a promotion or demotion moves a tag word, not the entry. An *Entry
+// returned by Lookup or Insert therefore stays valid for as long as its
+// translation is anywhere in the TLB.
 type Entry struct {
 	VPN uint64 // virtual page number
-	lru uint64
 	PFN uint64 // physical frame number
 
 	// SSP extension (Shadow Sub-Paging): the alternate physical page, and
@@ -58,46 +57,58 @@ type Config struct {
 	Latency sim.Cycles
 }
 
-// level is one set-associative TLB.
+// A tag word is a translation's VPN above idxBits and its pool index
+// below. A VPN of a 64-bit address with 4 KiB pages has at most 52 bits,
+// so both always fit; New refuses a pool that does not fit in idxBits.
+const (
+	idxBits = 12
+	idxMask = 1<<idxBits - 1
+	maxVPN  = 1<<(64-idxBits) - 1
+)
+
+// level is one set-associative TLB level. It holds pool indices, not
+// entries, in two orders per set:
+//
+//   - words[si*ways : si*ways+lens[si]] is set si's recency run, one tag
+//     word per live translation, most recently used first. A hit moves
+//     its word to the front and a fill shifts the set down one word, so
+//     the least recently used translation is always the last word:
+//     eviction needs no scan and no per-entry stamp.
+//   - slots[si*ways : si*ways+lens[si]] lists the same pool indices in
+//     slot order, and at[p] is the slot of pool index p within its set. A
+//     fill appends at lens[si] or takes over its victim's slot, and a
+//     removal moves the set's last slot into the gap. No lookup reads
+//     the slots; they fix the order forEach visits entries in, which
+//     SSP's interval end turns into timed metadata writes, so they are
+//     kept exactly as the stamp-LRU TLB laid its entries out.
 type level struct {
 	name    string
 	sets    int
 	setMask uint64 // sets-1 when sets is a power of two, else 0 (use modulo)
 	ways    int
 	latency sim.Cycles
-	// Flat tag store: set si owns store[si*ways : si*ways+lens[si]].
-	// Counting occupancy in lens instead of reslicing per-set slices
-	// keeps the promote/demote churn free of slice-header writes (and
-	// their GC barriers); entry pointers are stable for the life of the
-	// level.
-	store []Entry
-	lens  []int32
-	clock uint64
-	stats *sim.Stats
 
-	// mru[set] is the way index of the set's last hit or fill — a probe
-	// hint only, always verified against the tag before use, so it can
-	// dangle after invalidations without affecting simulated state.
-	mru    []int32
-	mruOff bool // disables the MRU fast probe (equivalence testing)
+	words []uint64
+	slots []uint16
+	lens  []int32
+	at    []uint16 // indexed by pool index; shared by both levels
 
 	evicts *sim.Counter // "tlb.<name>.evict", resolved once
 }
 
-func newLevel(cfg Config, stats *sim.Stats) *level {
-	if cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
+func newLevel(cfg Config, stats *sim.Stats) level {
+	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
 		panic(fmt.Sprintf("tlb: bad geometry for %s", cfg.Name))
 	}
 	sets := cfg.Entries / cfg.Ways
-	l := &level{
+	l := level{
 		name:    cfg.Name,
 		sets:    sets,
 		ways:    cfg.Ways,
 		latency: cfg.Latency,
-		store:   make([]Entry, sets*cfg.Ways),
+		words:   make([]uint64, cfg.Entries),
+		slots:   make([]uint16, cfg.Entries),
 		lens:    make([]int32, sets),
-		mru:     make([]int32, sets),
-		stats:   stats,
 		evicts:  stats.Counter("tlb." + cfg.Name + ".evict"),
 	}
 	if sets&(sets-1) == 0 {
@@ -113,101 +124,68 @@ func (l *level) setIndex(vpn uint64) int {
 	return int(vpn % uint64(l.sets))
 }
 
-func (l *level) lookup(vpn uint64) *Entry {
+// lookup returns vpn's tag word and moves it to the front of its set.
+func (l *level) lookup(vpn uint64) (uint64, bool) {
 	si := l.setIndex(vpn)
-	set := l.store[si*l.ways : si*l.ways+int(l.lens[si])]
-	if !l.mruOff {
-		// Probe the last-hit way before scanning the set: replay streams
-		// hit the same translation repeatedly, so the hint almost always
-		// verifies. The hit-side effects are identical to a scan hit.
-		if m := l.mru[si]; int(m) < len(set) && set[m].VPN == vpn {
-			l.clock++
-			set[m].lru = l.clock
-			return &set[m]
+	run := l.words[si*l.ways : si*l.ways+int(l.lens[si])]
+	for i, w := range run {
+		if w>>idxBits == vpn {
+			for ; i > 0; i-- {
+				run[i] = run[i-1]
+			}
+			run[0] = w
+			return w, true
 		}
 	}
-	for i := range set {
-		if set[i].VPN == vpn {
-			l.clock++
-			set[i].lru = l.clock
-			l.mru[si] = int32(i)
-			return &set[i]
-		}
-	}
-	return nil
+	return 0, false
 }
 
-// insert installs e and returns a pointer to its live slot. When the set
-// was full the evicted entry is returned by value (evicted=true); the
-// caller demotes or drops it. Returning the victim instead of firing a
-// callback keeps it on the stack — the old closure-based hook forced a
-// heap allocation per eviction. The same-VPN and LRU scans are fused into
-// one pass; the outcome is identical to scanning twice because a same-VPN
-// match returns before the LRU result is ever used.
-func (l *level) insert(e Entry) (slot *Entry, victim Entry, evicted bool) {
-	si := l.setIndex(e.VPN)
+// fill puts w, whose VPN must not be resident, at the front of its set. A
+// full set evicts its last word, whose slot w takes over; the victim's
+// word is returned.
+func (l *level) fill(w uint64) (victim uint64, evicted bool) {
+	si := l.setIndex(w >> idxBits)
 	b := si * l.ways
 	n := int(l.lens[si])
-	set := l.store[b : b+n]
-	l.clock++
-	e.lru = l.clock
-	lruIdx := 0
-	for i := range set {
-		// Replace an existing translation for the same VPN.
-		if set[i].VPN == e.VPN {
-			set[i] = e
-			l.mru[si] = int32(i)
-			return &set[i], Entry{}, false
-		}
-		if set[i].lru < set[lruIdx].lru {
-			lruIdx = i
-		}
-	}
-	if n < l.ways {
-		l.store[b+n] = e
+	j := uint16(n) // the slot w takes
+	if n == l.ways {
+		n--
+		victim, evicted = l.words[b+n], true
+		j = l.at[victim&idxMask]
+		l.evicts.Inc()
+	} else {
 		l.lens[si] = int32(n + 1)
-		l.mru[si] = int32(n)
-		return &l.store[b+n], Entry{}, false
 	}
-	victim = set[lruIdx]
-	set[lruIdx] = e
-	l.mru[si] = int32(lruIdx)
-	l.evicts.Inc()
-	return &set[lruIdx], victim, true
+	run := l.words[b : b+n+1]
+	for i := n; i > 0; i-- {
+		run[i] = run[i-1]
+	}
+	run[0] = w
+	l.slots[b+int(j)] = uint16(w & idxMask)
+	l.at[w&idxMask] = j
+	return victim, evicted
 }
 
-// take removes and returns the entry for vpn, touching it exactly as
-// lookup would first (clock advance + LRU stamp on the returned copy), so
-// a lookup-then-invalidate pair collapses into one set scan with
-// bit-identical level state.
-func (l *level) take(vpn uint64) (Entry, bool) {
+// remove takes vpn out of its set, closing the gap in the recency run and
+// moving the set's last slot into the freed one, and returns its word.
+func (l *level) remove(vpn uint64) (uint64, bool) {
 	si := l.setIndex(vpn)
-	set := l.store[si*l.ways : si*l.ways+int(l.lens[si])]
-	for i := range set {
-		if set[i].VPN == vpn {
-			l.clock++
-			victim := set[i]
-			victim.lru = l.clock
-			set[i] = set[len(set)-1]
-			l.lens[si]--
-			return victim, true
+	b := si * l.ways
+	n := int(l.lens[si])
+	run := l.words[b : b+n]
+	for i, w := range run {
+		if w>>idxBits == vpn {
+			for ; i < n-1; i++ {
+				run[i] = run[i+1]
+			}
+			j, last := l.at[w&idxMask], l.slots[b+n-1]
+			l.slots[b+int(j)] = last
+			l.at[last] = j
+			l.lens[si] = int32(n - 1)
+			return w, true
 		}
 	}
-	return Entry{}, false
-}
-
-func (l *level) invalidate(vpn uint64) (Entry, bool) {
-	si := l.setIndex(vpn)
-	set := l.store[si*l.ways : si*l.ways+int(l.lens[si])]
-	for i := range set {
-		if set[i].VPN == vpn {
-			victim := set[i]
-			set[i] = set[len(set)-1]
-			l.lens[si]--
-			return victim, true
-		}
-	}
-	return Entry{}, false
+	return 0, false
 }
 
 func (l *level) reset() {
@@ -216,28 +194,29 @@ func (l *level) reset() {
 	}
 }
 
-// forEach visits every entry (mutable).
-func (l *level) forEach(fn func(e *Entry)) {
-	for si := range l.lens {
-		set := l.store[si*l.ways : si*l.ways+int(l.lens[si])]
-		for i := range set {
-			fn(&set[i])
+// forEach visits every entry of the level in slot order (mutable).
+func (l *level) forEach(pool []Entry, fn func(e *Entry)) {
+	for si, n := range l.lens {
+		for _, p := range l.slots[si*l.ways : si*l.ways+int(n)] {
+			fn(&pool[p])
 		}
 	}
 }
 
 // TLB is the two-level translation cache (64-entry L1 dTLB, 1536-entry L2
-// STLB, conventional sizes for the simulated core).
+// STLB, conventional sizes for the simulated core). The levels are
+// exclusive: a translation is resident in at most one of them.
 type TLB struct {
-	l1, l2  *level
-	stats   *sim.Stats
+	l1, l2  level
 	onEvict EvictFn
 
-	// gen counts structural changes (inserts, promotions, invalidations,
-	// resets). A cached *Entry obtained from Lookup stays valid exactly
-	// while gen is unchanged — the core's last-translation cache keys on
-	// it.
-	gen uint64
+	// pool holds every live translation at a fixed index, and
+	// free[:nfree] lists the unused indices. It has one entry more than
+	// both levels together, so a fill into a full TLB can take its entry
+	// before the L2 victim gives one back.
+	pool  []Entry
+	free  []uint16
+	nfree int
 
 	l1Hit, l1Miss *sim.Counter
 	l2Hit, l2Miss *sim.Counter
@@ -251,20 +230,50 @@ func DefaultConfigL1() Config { return Config{Name: "l1", Entries: 64, Ways: 4, 
 // DefaultConfigL2 is a 1536-entry 12-way STLB with 7-cycle lookup.
 func DefaultConfigL2() Config { return Config{Name: "l2", Entries: 1536, Ways: 12, Latency: 7} }
 
-// New builds the two-level TLB.
+// New builds the two-level TLB. It panics on a level without entries, on
+// entries that do not divide into ways, and on levels too large together
+// for a pool index to name every entry.
 func New(l1, l2 Config, stats *sim.Stats) *TLB {
-	return &TLB{
-		l1: newLevel(l1, stats), l2: newLevel(l2, stats), stats: stats,
+	t := &TLB{
+		l1: newLevel(l1, stats), l2: newLevel(l2, stats),
 		l1Hit: stats.Counter("tlb.l1.hit"), l1Miss: stats.Counter("tlb.l1.miss"),
 		l2Hit: stats.Counter("tlb.l2.hit"), l2Miss: stats.Counter("tlb.l2.miss"),
 		invalidates: stats.Counter("tlb.invalidate"),
 		flushes:     stats.Counter("tlb.flush_all"),
 	}
+	n := l1.Entries + l2.Entries + 1
+	if n > 1<<idxBits {
+		panic(fmt.Sprintf("tlb: %s and %s hold %d entries, more than %d-bit pool indices can name",
+			l1.Name, l2.Name, n-1, idxBits))
+	}
+	t.pool = make([]Entry, n)
+	t.free = make([]uint16, n)
+	t.l1.at = make([]uint16, n)
+	t.l2.at = t.l1.at
+	t.freeAll()
+	return t
 }
 
 // NewDefault builds the TLB with default geometry.
 func NewDefault(stats *sim.Stats) *TLB {
 	return New(DefaultConfigL1(), DefaultConfigL2(), stats)
+}
+
+func (t *TLB) freeAll() {
+	for i := range t.free {
+		t.free[i] = uint16(i)
+	}
+	t.nfree = len(t.free)
+}
+
+func (t *TLB) alloc() uint16 {
+	t.nfree--
+	return t.free[t.nfree]
+}
+
+func (t *TLB) release(p uint16) {
+	t.free[t.nfree] = p
+	t.nfree++
 }
 
 // SetEvictHook installs fn to observe entries leaving the whole TLB.
@@ -277,141 +286,104 @@ func (t *TLB) SetEvictHook(fn EvictFn) { t.onEvict = fn }
 // entry is nil and latency covers both level probes; the caller walks the
 // page table and calls Insert.
 func (t *TLB) Lookup(vpn uint64) (*Entry, sim.Cycles) {
-	if e := t.l1.lookup(vpn); e != nil {
+	if w, ok := t.l1.lookup(vpn); ok {
 		t.l1Hit.Inc()
-		return e, t.l1.latency
+		return &t.pool[w&idxMask], t.l1.latency
 	}
 	t.l1Miss.Inc()
-	if promoted, ok := t.l2.take(vpn); ok {
+	if w, ok := t.l2.remove(vpn); ok {
 		t.l2Hit.Inc()
-		// Promote to L1; the L1 victim falls back into L2. Entries move,
-		// so previously returned pointers go stale.
-		t.gen++
-		e1, v, evicted := t.l1.insert(promoted)
-		if evicted {
-			t.demote(v)
-		}
-		// Re-touch exactly as the pre-insert code's trailing L1 lookup
-		// did, so LRU state stays bit-identical without the set scan.
-		t.l1.clock++
-		e1.lru = t.l1.clock
-		return e1, t.l1.latency + t.l2.latency
+		t.fillL1(w)
+		return &t.pool[w&idxMask], t.l1.latency + t.l2.latency
 	}
 	t.l2Miss.Inc()
 	return nil, t.l1.latency + t.l2.latency
 }
 
-// demote drops an L1 victim into L2, firing the whole-TLB evict hook when
-// that in turn pushes an entry out of L2 (exclusive two-level fill). The
-// escaping copy for the hook is made only on the evict branch so the
-// common no-evict demote stays allocation-free.
-func (t *TLB) demote(v Entry) {
-	_, v2, evicted := t.l2.insert(v)
-	if evicted && t.onEvict != nil {
-		hooked := v2
-		t.onEvict(&hooked)
+// fillL1 puts w at the front of its L1 set. An L1 victim is demoted to
+// the front of its L2 set, and an L2 victim leaves the TLB (exclusive
+// two-level fill).
+func (t *TLB) fillL1(w uint64) {
+	v, evicted := t.l1.fill(w)
+	if !evicted {
+		return
+	}
+	if v, evicted = t.l2.fill(v); evicted {
+		t.evict(uint16(v & idxMask))
 	}
 }
 
-// Gen returns the structural generation. It advances whenever entries may
-// have moved (Insert, L2→L1 promotion, invalidation, reset); an *Entry
-// returned by Lookup is safe to retain only while Gen is unchanged.
-func (t *TLB) Gen() uint64 { return t.gen }
-
-// FastHit re-touches an entry known (by an unchanged Gen) to still sit in
-// L1: it refreshes the entry's LRU stamp, counts an L1 hit and returns the
-// L1 latency — state-for-state what a full Lookup hit on the entry would
-// do, without the set scan. The core's last-translation cache is the only
-// intended caller.
-func (t *TLB) FastHit(e *Entry) sim.Cycles {
-	t.l1.clock++
-	e.lru = t.l1.clock
-	t.l1Hit.Inc()
-	return t.l1.latency
-}
-
-// Insert installs a fresh translation (after a page-table walk) into L1.
-func (t *TLB) Insert(e Entry) {
-	t.InsertAndGet(e)
-}
-
-// InsertAndGet installs a fresh translation into L1 and returns the live
-// entry, without counting a hit or charging lookup latency: hardware
-// completes a walked translation from the walk result, it does not re-probe
-// the TLB it just filled. The core's translate path uses this to finish a
-// miss; the returned pointer is valid until Gen next changes.
-func (t *TLB) InsertAndGet(e Entry) *Entry {
-	t.gen++
-	slot, v, evicted := t.l1.insert(e)
-	if evicted {
-		t.demote(v)
+// evict shows pool entry p, already unlinked from its level, to the evict
+// hook and frees it. The hook sees the pool entry itself, so evicting
+// allocates nothing.
+func (t *TLB) evict(p uint16) {
+	if t.onEvict != nil {
+		t.onEvict(&t.pool[p])
 	}
-	return slot
+	t.release(p)
 }
 
-// SetMRUProbe enables or disables the per-set last-hit-way fast probe in
-// both levels (on by default). The probe is semantically invisible — hit
-// order, LRU stamps and stats are identical either way — so the switch
-// exists only for the equivalence tests that pin that claim.
-func (t *TLB) SetMRUProbe(on bool) {
-	t.l1.mruOff = !on
-	t.l2.mruOff = !on
+// Insert installs a fresh translation (after a page-table walk) at the
+// front of its L1 set and returns the live entry, without counting a hit
+// or charging lookup latency: hardware completes a walked translation
+// from the walk result, it does not re-probe the TLB it just filled. A
+// resident copy of e.VPN is dropped first, without the evict hook, so a
+// VPN is never resident twice. Insert panics on a VPN wider than 52 bits.
+func (t *TLB) Insert(e Entry) *Entry {
+	if e.VPN > maxVPN {
+		panic(fmt.Sprintf("tlb: VPN %#x wider than %d bits", e.VPN, 64-idxBits))
+	}
+	if w, ok := t.l1.remove(e.VPN); ok {
+		t.release(uint16(w & idxMask))
+	} else if w, ok := t.l2.remove(e.VPN); ok {
+		t.release(uint16(w & idxMask))
+	}
+	p := t.alloc()
+	t.pool[p] = e
+	t.fillL1(e.VPN<<idxBits | uint64(p))
+	return &t.pool[p]
 }
 
-// Invalidate removes vpn from both levels, firing the evict hook if the
+// Invalidate removes vpn from the TLB, firing the evict hook if the
 // translation was present (the OS invalidates after PTE changes; prototype
 // metadata must be saved first, as in the paper's SSP design where
-// TLB-evicted entries are marked in the SSP cache). As in demote, the
-// escaping copy for the hook is made only inside the hook branch, so an
-// unhooked invalidate stays allocation-free.
+// TLB-evicted entries are marked in the SSP cache).
 func (t *TLB) Invalidate(vpn uint64) bool {
-	t.gen++
-	found := false
-	if v, ok := t.l1.invalidate(vpn); ok {
-		found = true
-		if t.onEvict != nil {
-			hooked := v
-			t.onEvict(&hooked)
-		}
+	w, ok := t.l1.remove(vpn)
+	if !ok {
+		w, ok = t.l2.remove(vpn)
 	}
-	if v, ok := t.l2.invalidate(vpn); ok {
-		found = true
-		if t.onEvict != nil {
-			hooked := v
-			t.onEvict(&hooked)
-		}
+	if !ok {
+		return false
 	}
-	if found {
-		t.invalidates.Inc()
-	}
-	return found
+	t.evict(uint16(w & idxMask))
+	t.invalidates.Inc()
+	return true
 }
 
 // InvalidateAll flushes the whole TLB (context switch / global shootdown),
-// firing the evict hook per entry.
+// firing the evict hook per entry in ForEach order.
 func (t *TLB) InvalidateAll() {
-	t.gen++
 	if t.onEvict != nil {
-		t.l1.forEach(func(e *Entry) { t.onEvict(e) })
-		t.l2.forEach(func(e *Entry) { t.onEvict(e) })
+		t.ForEach(t.onEvict)
 	}
-	t.l1.reset()
-	t.l2.reset()
+	t.Reset()
 	t.flushes.Inc()
 }
 
-// ForEach visits every live entry in both levels (prototypes scan the TLB
-// at interval boundaries: SSP harvests bitmaps, HSCC spills counters).
+// ForEach visits every live entry, L1 then L2, each set in slot order
+// (prototypes scan the TLB at interval boundaries: SSP harvests bitmaps,
+// HSCC spills counters).
 func (t *TLB) ForEach(fn func(e *Entry)) {
-	t.l1.forEach(fn)
-	t.l2.forEach(fn)
+	t.l1.forEach(t.pool, fn)
+	t.l2.forEach(t.pool, fn)
 }
 
 // Reset empties the TLB without firing hooks (power loss).
 func (t *TLB) Reset() {
-	t.gen++
 	t.l1.reset()
 	t.l2.reset()
+	t.freeAll()
 }
 
 // PageOffsetLineBit returns the bit index (0..63) of the sub-page line that

@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -213,12 +214,67 @@ func TestLookupInsertProperty(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
+	l1 := DefaultConfigL1()
+	cases := []struct {
+		name   string
+		l1, l2 Config
+		want   string
+	}{
+		{"entries not a multiple of ways", Config{Name: "bad", Entries: 7, Ways: 2}, DefaultConfigL2(), "tlb: bad geometry for bad"},
+		{"no ways", l1, Config{Name: "bad", Entries: 8}, "tlb: bad geometry for bad"},
+		{"no entries", Config{Name: "bad", Entries: 0, Ways: 4}, DefaultConfigL2(), "tlb: bad geometry for bad"},
+		{"pool wider than a tag word", l1, Config{Name: "l2", Entries: 4032, Ways: 12}, "more than 12-bit pool indices"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				got, _ := recover().(string)
+				if !strings.Contains(got, c.want) {
+					t.Fatalf("panic %q, want one naming %q", got, c.want)
+				}
+			}()
+			New(c.l1, c.l2, sim.NewStats())
+		})
+	}
+	// The largest pool a tag word can name still builds.
+	New(l1, Config{Name: "l2", Entries: 4031, Ways: 1}, sim.NewStats())
+}
+
+// TestPromotionNoAlloc: a lookup that promotes an L2 entry, demotes the
+// L1 victim into a full L2 set and evicts that set's last entry allocates
+// nothing. Promotions are a third of the lookups of a PageRank replay.
+// The evict hook sees the pool entry itself, so installing one adds no
+// allocation either.
+func TestPromotionNoAlloc(t *testing.T) {
+	evicted := 0
+	for _, hook := range []EvictFn{nil, func(e *Entry) { evicted++ }} {
+		stats := sim.NewStats()
+		tb := New(Config{Name: "l1", Entries: 1, Ways: 1, Latency: 1},
+			Config{Name: "l2", Entries: 2, Ways: 1, Latency: 7}, stats)
+		tb.SetEvictHook(hook)
+		runs := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			// L1 holds 1; L2 holds 0 in set 0 and 3 in set 1. Looking up
+			// 0 promotes it, demotes 1 into set 1 and evicts 3.
+			tb.Reset()
+			tb.Insert(Entry{VPN: 0})
+			tb.Insert(Entry{VPN: 3})
+			tb.Insert(Entry{VPN: 1})
+			if e, _ := tb.Lookup(0); e == nil || e.VPN != 0 {
+				t.Fatal("lookup of an L2-resident VPN missed")
+			}
+			runs++
+		})
+		if allocs != 0 {
+			t.Fatalf("hook %v: promotion allocates %v times per lookup", hook != nil, allocs)
 		}
-	}()
-	newLevel(Config{Name: "bad", Entries: 7, Ways: 2}, sim.NewStats())
+		if got := stats.Get("tlb.l2.evict"); got != uint64(runs) {
+			t.Fatalf("hook %v: %d L2 evictions in %d promotions", hook != nil, got, runs)
+		}
+	}
+	if evicted == 0 {
+		t.Fatal("evict hook never fired")
+	}
 }
 
 func BenchmarkTLBHit(b *testing.B) {
