@@ -19,7 +19,8 @@ test:
 # one-iteration pass over every benchmark so the perf harness can't
 # silently rot, a build-and-smoke of the perfbench module, two bounded
 # commit-point crash sweeps, a short fuzz of the trace decoders, the NVM
-# pending store, the run loop, the cache level and the TLB, the live-monitor smoke
+# pending store, the NVM write buffer, the run loop, the cache level and
+# the TLB, the live-monitor smoke
 # (real kindle binary scraped over HTTP mid-run in replay, resume, traffic
 # and sharded mode), and the CLI checks (kindle's refusal table unit-tested
 # on parseFlags, plus the real-binary identity matrix: -shards 1 vs 4, cold
@@ -80,9 +81,12 @@ crashsweep:
 # fuzzsmoke runs the checked-in corpus plus 10 seconds of new coverage over
 # each fuzz target: the v1/v2 binary decoders checked against the
 # sequential reference, the chunk-index scan plus range decode (see
-# internal/trace/fuzz_test.go), the NVM pending store checked against its
-# map-based reference (see internal/mem/persist_fuzz_test.go), the
-# run loop checked against the stepped reference (see
+# internal/trace/fuzz_test.go), the NVM pending store and its word path
+# checked against its map-based reference (see
+# internal/mem/persist_fuzz_test.go), the FIFO-only NVM write buffer
+# checked against the map-keyed buffer it replaced at depths 1 to 192 (see
+# internal/mem/nvm_fuzz_test.go), the run loop checked against the stepped
+# reference (see
 # internal/machine/runloop_test.go), the recency-ordered cache level
 # checked against the timestamp-LRU reference (see
 # internal/cache/level_ref_test.go), and the pooled TLB checked against the
@@ -92,6 +96,7 @@ fuzzsmoke:
 	$(GO) test -run XXX -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run XXX -fuzz '^FuzzChunkIndex$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run XXX -fuzz '^FuzzPersistDomain$$' -fuzztime 10s ./internal/mem
+	$(GO) test -run XXX -fuzz '^FuzzNVMWriteBuffer$$' -fuzztime 10s ./internal/mem
 	$(GO) test -run XXX -fuzz '^FuzzRunUntil$$' -fuzztime 10s ./internal/machine
 	$(GO) test -run XXX -fuzz '^FuzzCacheLevel$$' -fuzztime 10s ./internal/cache
 	$(GO) test -run XXX -fuzz '^FuzzTLB$$' -fuzztime 10s ./internal/tlb
@@ -127,10 +132,11 @@ lint:
 		$(GO) vet ./...; \
 	fi
 
-# profile records CPU and allocation profiles for both replay benchmarks
-# and for a rebuild-scheme checkpoint at persist-churn's 32,768 mapped NVM
-# pages under profiles/ (gitignored). See "Recipe: profiling the replay
-# engine" in EXPERIMENTS.md for how to read them.
+# profile records CPU and allocation profiles for both replay benchmarks,
+# for a rebuild-scheme checkpoint at persist-churn's 32,768 mapped NVM
+# pages and for persist-churn's mmap/touch/munmap loop under profiles/
+# (gitignored). See "Recipe: profiling the replay engine" in EXPERIMENTS.md
+# for how to read them.
 profile:
 	mkdir -p profiles
 	$(GO) test -run XXX -bench '^BenchmarkReplayThroughput$$' -benchtime 2s \
@@ -139,9 +145,12 @@ profile:
 		-cpuprofile profiles/stream_cpu.prof -memprofile profiles/stream_mem.prof -o profiles/kindle.test .
 	$(GO) test -run XXX -bench '^BenchmarkCheckpointSteadyState$$/^pages=32768$$' -benchtime 2s \
 		-cpuprofile profiles/checkpoint_cpu.prof -memprofile profiles/checkpoint_mem.prof -o profiles/persist.test ./internal/persist
-	@echo "wrote profiles/{replay,stream,checkpoint}_{cpu,mem}.prof; try:"
+	$(GO) test -run XXX -bench '^BenchmarkChurnTouch$$' -benchtime 2s \
+		-cpuprofile profiles/churn_cpu.prof -memprofile profiles/churn_mem.prof -o profiles/persist.test ./internal/persist
+	@echo "wrote profiles/{replay,stream,checkpoint,churn}_{cpu,mem}.prof; try:"
 	@echo "  go tool pprof -top -nodecount 20 profiles/kindle.test profiles/replay_cpu.prof"
 	@echo "  go tool pprof -top -nodecount 20 profiles/persist.test profiles/checkpoint_cpu.prof"
+	@echo "  go tool pprof -top -nodecount 20 profiles/persist.test profiles/churn_cpu.prof"
 
 # bench runs the microbenchmarks, then records the headline numbers
 # (replay records/sec, suite wall-clock, GOMAXPROCS) in BENCH_replay.json

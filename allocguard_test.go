@@ -1,20 +1,27 @@
 package kindle_test
 
-// Zero-allocation guards for the replay fast path. The perf work in the
-// replay engine (pooled TLB entries, recency-ordered cache and TLB sets,
-// pooled persist-domain buffers, recycled stream chunk buffers) holds only
-// if the steady state stays allocation-free — a single escaping value on
-// the per-record path costs more than the optimizations save. These tests
-// pin that property in CI (`make allocguard`, part of `make check`): they
-// warm the simulator past the faulting/buffer-growing phase, then require
-// testing.AllocsPerRun to observe zero allocations per run.
+// Zero-allocation guards for the replay fast path and the checkpoint. The
+// perf work in the replay engine (pooled TLB entries, recency-ordered cache
+// and TLB sets, pooled persist-domain buffers, recycled stream chunk
+// buffers) and in persistence bookkeeping (a truncated change log, no
+// per-page maps) holds only if the steady state stays allocation-free — a
+// single escaping value on the per-record path costs more than the
+// optimizations save. These tests pin that property in CI (`make
+// allocguard`, part of `make check`): they warm the simulator past the
+// faulting/buffer-growing phase, then require testing.AllocsPerRun to
+// observe zero allocations per run.
 
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"kindle/internal/core"
+	"kindle/internal/gemos"
+	"kindle/internal/machine"
 	"kindle/internal/mem"
+	"kindle/internal/persist"
+	"kindle/internal/pt"
 	"kindle/internal/sim"
 	"kindle/internal/trace"
 	"kindle/internal/workloads"
@@ -212,5 +219,68 @@ func TestPersistCommitCycleZeroAlloc(t *testing.T) {
 	cycle() // warm-up: allocate the directory slab and the frame records
 	if avg := testing.AllocsPerRun(20, cycle); avg != 0 {
 		t.Fatalf("steady-state write→CommitRange cycle allocates %.1f times, want 0", avg)
+	}
+}
+
+// TestCheckpointZeroAlloc: a rebuild-scheme checkpoint of a warm process
+// with 4,096 mapped NVM pages must not allocate, with no mapping changes
+// since the last one and after 1,024 remappings of resident pages. The
+// change log is truncated, not rebuilt, at each checkpoint, and applying
+// it sorts in place.
+func TestCheckpointZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const pages = 4096
+	m := machine.New(machine.DefaultConfig())
+	k := gemos.Boot(m)
+	mgr, err := persist.Attach(k, persist.Rebuild, sim.FromDuration(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := k.Spawn("ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k.Switch(p)
+	a, err := k.Mmap(p, 0, pages*mem.PageSize, gemos.ProtRead|gemos.ProtWrite, gemos.MapNVM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < pages; i++ {
+		if _, err := m.Core.Access(a+i*mem.PageSize, true, 8); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type mapping struct{ vpn, pfn uint64 }
+	var resident []mapping
+	p.Table.ForEachMapped(func(va uint64, e pt.PTE) bool {
+		if e.NVM() && len(resident) < 1024 {
+			resident = append(resident, mapping{va / mem.PageSize, e.PFN()})
+		}
+		return true
+	})
+	if len(resident) != 1024 {
+		t.Fatalf("%d resident NVM pages, want 1024", len(resident))
+	}
+	remap := func() {
+		// Walk the pages backwards so the change log needs sorting.
+		for i := len(resident) - 1; i >= 0; i-- {
+			mgr.LogMapping(p, resident[i].vpn, resident[i].pfn, true)
+		}
+		mgr.Checkpoint()
+	}
+	remap() // warm-up: grow the change log and the encoding buffer
+	mgr.Checkpoint()
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{{"unchanged", mgr.Checkpoint}, {"remapped", remap}} {
+		if avg := testing.AllocsPerRun(10, c.run); avg != 0 {
+			t.Errorf("%s: checkpoint allocates %.1f times, want 0", c.name, avg)
+		}
+	}
+	if _, n, _ := mgr.SlotOf(p); n != pages {
+		t.Fatalf("slot mirrors %d mappings, want %d", n, pages)
 	}
 }

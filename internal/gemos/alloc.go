@@ -3,7 +3,8 @@ package gemos
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
 	"kindle/internal/machine"
 	"kindle/internal/mem"
@@ -26,14 +27,14 @@ type FrameAllocator struct {
 
 	dramNext, dramMax uint64
 	dramFree          []uint64
+	dramUsed          frameBits // double-alloc/free guard (volatile)
 
 	nvmNext, nvmMax uint64
 	nvmFree         []uint64
-	nvmPoolStart    uint64 // first pool pfn (after the reserved meta region)
+	nvmPoolStart    uint64    // first pool pfn (after the reserved meta region)
+	nvmUsed         frameBits // volatile mirror of the persisted bitmap
 
 	bitmapBase mem.PhysAddr // persisted NVM allocation bitmap
-
-	allocated map[uint64]bool // double-alloc/free guard (volatile)
 
 	// Deferred reclamation: while enabled (process persistence attached),
 	// NVM frees do not clear the persisted bitmap or return the frame to
@@ -45,25 +46,72 @@ type FrameAllocator struct {
 	deferred []uint64
 }
 
+// frameBits marks the allocated frames of one pool: bit i of words is the
+// pool's first frame (base) plus i. It grows one word at a time as
+// frames are marked, so it never reaches past the pool's bump cursor.
+type frameBits struct {
+	base  uint64
+	words []uint64
+}
+
+// has reports whether pfn is marked; frames outside the bitset are not.
+func (b *frameBits) has(pfn uint64) bool {
+	i := pfn - b.base // wraps past len(words) for pfn < base
+	w := i / 64
+	return w < uint64(len(b.words)) && b.words[w]&(1<<(i%64)) != 0
+}
+
+func (b *frameBits) set(pfn uint64) {
+	i := pfn - b.base
+	for uint64(len(b.words)) <= i/64 {
+		b.words = append(b.words, 0)
+	}
+	b.words[i/64] |= 1 << (i % 64)
+}
+
+// clear unmarks pfn, which the caller knows is marked.
+func (b *frameBits) clear(pfn uint64) {
+	i := pfn - b.base
+	b.words[i/64] &^= 1 << (i % 64)
+}
+
+// count returns how many frames are marked.
+func (b *frameBits) count() int {
+	n := 0
+	for _, w := range b.words {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// appendSet appends every marked frame to dst in ascending order.
+func (b *frameBits) appendSet(dst []uint64) []uint64 {
+	for wi, w := range b.words {
+		for ; w != 0; w &= w - 1 {
+			dst = append(dst, b.base+uint64(wi)*64+uint64(bits.TrailingZeros64(w)))
+		}
+	}
+	return dst
+}
+
 // NewFrameAllocator builds the allocator. reservedNVM bytes at the start of
 // the NVM region are carved out for persistence structures (boot record,
 // this bitmap, saved states, logs) and never handed to the pool.
 // bitmapBase must point inside that reserved region.
 func NewFrameAllocator(m *machine.Machine, layout mem.Layout, reservedNVM uint64, bitmapBase mem.PhysAddr) *FrameAllocator {
 	poolStart := mem.FrameNumber(layout.NVMBase + mem.PhysAddr(reservedNVM))
+	dramStart := mem.FrameNumber(layout.DRAMBase)
 	return &FrameAllocator{
 		m:            m,
 		layout:       layout,
-		dramNext:     mem.FrameNumber(layout.DRAMBase),
+		dramNext:     dramStart,
 		dramMax:      mem.FrameNumber(layout.DRAMBase + mem.PhysAddr(layout.DRAMSize)),
+		dramUsed:     frameBits{base: dramStart},
 		nvmNext:      poolStart,
 		nvmMax:       mem.FrameNumber(layout.NVMBase + mem.PhysAddr(layout.NVMSize)),
 		nvmPoolStart: poolStart,
+		nvmUsed:      frameBits{base: poolStart},
 		bitmapBase:   bitmapBase,
-		// Modestly presized: enough to skip the first few grow/rehash
-		// rounds on the fault path without paying a large up-front bucket
-		// array at every machine construction.
-		allocated: make(map[uint64]bool, 1<<9),
 	}
 }
 
@@ -92,6 +140,7 @@ func (a *FrameAllocator) markNVM(pfn uint64, used bool) {
 // AllocFrame satisfies pt.FrameAllocator.
 func (a *FrameAllocator) AllocFrame(kind mem.Kind) (uint64, error) {
 	var pfn uint64
+	var used *frameBits
 	switch kind {
 	case mem.DRAM:
 		if n := len(a.dramFree); n > 0 {
@@ -103,6 +152,7 @@ func (a *FrameAllocator) AllocFrame(kind mem.Kind) (uint64, error) {
 		} else {
 			return 0, fmt.Errorf("%w (DRAM)", ErrOutOfMemory)
 		}
+		used = &a.dramUsed
 	case mem.NVM:
 		if n := len(a.nvmFree); n > 0 {
 			pfn = a.nvmFree[n-1]
@@ -114,25 +164,26 @@ func (a *FrameAllocator) AllocFrame(kind mem.Kind) (uint64, error) {
 			return 0, fmt.Errorf("%w (NVM)", ErrOutOfMemory)
 		}
 		a.markNVM(pfn, true)
+		used = &a.nvmUsed
 	default:
 		return 0, fmt.Errorf("gemos: alloc of kind %v", kind)
 	}
-	if a.allocated[pfn] {
+	if used.has(pfn) {
 		panic(fmt.Sprintf("gemos: frame %#x double-allocated", pfn))
 	}
-	a.allocated[pfn] = true
+	used.set(pfn)
 	return pfn, nil
 }
 
 // FreeFrame satisfies pt.FrameAllocator; the kind is derived from the
 // address.
 func (a *FrameAllocator) FreeFrame(pfn uint64) {
-	if !a.allocated[pfn] {
+	if !a.InUse(pfn) {
 		panic(fmt.Sprintf("gemos: frame %#x freed but not allocated", pfn))
 	}
 	switch a.layout.KindOf(mem.FrameBase(pfn)) {
 	case mem.DRAM:
-		delete(a.allocated, pfn)
+		a.dramUsed.clear(pfn)
 		a.dramFree = append(a.dramFree, pfn)
 	case mem.NVM:
 		if a.deferNVM {
@@ -141,7 +192,7 @@ func (a *FrameAllocator) FreeFrame(pfn uint64) {
 			a.deferred = append(a.deferred, pfn)
 			return
 		}
-		delete(a.allocated, pfn)
+		a.nvmUsed.clear(pfn)
 		a.markNVM(pfn, false)
 		a.nvmFree = append(a.nvmFree, pfn)
 	default:
@@ -161,7 +212,7 @@ func (a *FrameAllocator) SetDeferNVMFrees(on bool) { a.deferNVM = on }
 func (a *FrameAllocator) FlushDeferredFrees() int {
 	n := len(a.deferred)
 	for _, pfn := range a.deferred {
-		delete(a.allocated, pfn)
+		a.nvmUsed.clear(pfn)
 		a.markNVM(pfn, false)
 		a.nvmFree = append(a.nvmFree, pfn)
 	}
@@ -174,29 +225,34 @@ func (a *FrameAllocator) DeferredFrees() int { return len(a.deferred) }
 
 // ReclaimUnreferenced sweeps the NVM pool after recovery: every frame the
 // persisted bitmap marks used but that no recovered structure references
-// (referenced keys are pool PFNs) is returned to the pool. This garbage-
-// collects frames that were allocated after the last checkpoint — durable
-// in the bitmap but unknown to any consistent saved state.
-func (a *FrameAllocator) ReclaimUnreferenced(referenced map[uint64]bool) int {
-	var victims []uint64
-	for pfn := range a.allocated {
-		if a.layout.KindOf(mem.FrameBase(pfn)) != mem.NVM || referenced[pfn] {
-			continue
+// is returned to the pool, in ascending frame order. This garbage-collects
+// frames that were allocated after the last checkpoint — durable in the
+// bitmap but unknown to any consistent saved state. referenced may hold
+// duplicates and frames of either pool; it is sorted in place.
+func (a *FrameAllocator) ReclaimUnreferenced(referenced []uint64) int {
+	slices.Sort(referenced)
+	n := 0
+	for wi, w := range a.nvmUsed.words {
+		for ; w != 0; w &= w - 1 {
+			pfn := a.nvmUsed.base + uint64(wi)*64 + uint64(bits.TrailingZeros64(w))
+			i, found := slices.BinarySearch(referenced, pfn)
+			referenced = referenced[i:]
+			if found {
+				continue
+			}
+			a.nvmUsed.clear(pfn)
+			a.markNVM(pfn, false)
+			a.nvmFree = append(a.nvmFree, pfn)
+			n++
 		}
-		victims = append(victims, pfn)
 	}
-	// Deterministic pool order regardless of map iteration.
-	sort.Slice(victims, func(i, j int) bool { return victims[i] < victims[j] })
-	for _, pfn := range victims {
-		delete(a.allocated, pfn)
-		a.markNVM(pfn, false)
-		a.nvmFree = append(a.nvmFree, pfn)
-	}
-	return len(victims)
+	return n
 }
 
 // InUse reports whether pfn is currently allocated (volatile view).
-func (a *FrameAllocator) InUse(pfn uint64) bool { return a.allocated[pfn] }
+func (a *FrameAllocator) InUse(pfn uint64) bool {
+	return a.dramUsed.has(pfn) || a.nvmUsed.has(pfn)
+}
 
 // FreeDRAM / FreeNVM report remaining capacity in frames.
 func (a *FrameAllocator) FreeDRAM() uint64 {
@@ -210,41 +266,38 @@ func (a *FrameAllocator) FreeNVM() uint64 {
 // bitmap after a crash: frames with a set bit stay allocated (their data is
 // owned by recovered processes), clear frames return to the pool. DRAM
 // state is volatile; the DRAM pool restarts empty. The cost of scanning the
-// bitmap is charged as timed reads (one per word).
+// bitmap is charged as timed reads (one per word). The persisted bitmap
+// and the volatile NVM bitset share a layout, so each persisted word is
+// the bitset word.
 func (a *FrameAllocator) RecoverFromBitmap() {
-	a.allocated = make(map[uint64]bool)
+	a.dramUsed.words = a.dramUsed.words[:0]
 	a.dramFree = nil
-	a.dramNext = mem.FrameNumber(a.layout.DRAMBase)
+	a.dramNext = a.dramUsed.base
+	a.nvmUsed.words = a.nvmUsed.words[:0]
 	a.nvmFree = nil
 
-	words := (a.nvmMax - a.nvmPoolStart + 63) / 64
-	highest := a.nvmPoolStart
-	for w := uint64(0); w < words; w++ {
-		wa := a.bitmapBase + mem.PhysAddr(w*8)
-		a.m.AccessTimed(wa, false)
-		bits := a.m.LoadU64(wa)
-		if bits == 0 {
-			continue
-		}
-		for b := uint(0); b < 64; b++ {
-			if bits&(1<<b) == 0 {
-				continue
-			}
-			pfn := a.nvmPoolStart + w*64 + uint64(b)
-			if pfn >= a.nvmMax {
-				break
-			}
-			a.allocated[pfn] = true
-			if pfn+1 > highest {
-				highest = pfn + 1
-			}
-		}
-	}
+	poolFrames := a.nvmMax - a.nvmPoolStart
 	// Resume bump allocation above the highest used frame; holes below it
 	// go to the free list.
-	a.nvmNext = highest
-	for pfn := a.nvmPoolStart; pfn < highest; pfn++ {
-		if !a.allocated[pfn] {
+	a.nvmNext = a.nvmPoolStart
+	for w := uint64(0); w < (poolFrames+63)/64; w++ {
+		wa := a.bitmapBase + mem.PhysAddr(w*8)
+		a.m.AccessTimed(wa, false)
+		word := a.m.LoadU64(wa)
+		if rest := poolFrames - w*64; rest < 64 {
+			word &= 1<<rest - 1 // bits past the pool end
+		}
+		if word == 0 {
+			continue
+		}
+		for uint64(len(a.nvmUsed.words)) < w {
+			a.nvmUsed.words = append(a.nvmUsed.words, 0)
+		}
+		a.nvmUsed.words = append(a.nvmUsed.words, word)
+		a.nvmNext = a.nvmPoolStart + w*64 + 64 - uint64(bits.LeadingZeros64(word))
+	}
+	for pfn := a.nvmPoolStart; pfn < a.nvmNext; pfn++ {
+		if !a.nvmUsed.has(pfn) {
 			a.nvmFree = append(a.nvmFree, pfn)
 		}
 	}

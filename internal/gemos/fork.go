@@ -45,7 +45,7 @@ type AllocState struct {
 	DRAMFree []uint64 // LIFO order
 	NVMNext  uint64
 	NVMFree  []uint64 // LIFO order
-	Alloced  []uint64 // sorted (map mirror)
+	Alloced  []uint64 // ascending (both pools' bitsets, lower pool first)
 	DeferNVM bool
 	Deferred []uint64 // FIFO order (flushed front to back)
 }
@@ -72,25 +72,61 @@ func (a *FrameAllocator) captureState() AllocState {
 		DeferNVM: a.deferNVM,
 		Deferred: append([]uint64(nil), a.deferred...),
 	}
-	st.Alloced = make([]uint64, 0, len(a.allocated))
-	for pfn := range a.allocated {
-		st.Alloced = append(st.Alloced, pfn)
+	lo, hi := &a.dramUsed, &a.nvmUsed
+	if hi.base < lo.base {
+		lo, hi = hi, lo
 	}
-	sort.Slice(st.Alloced, func(i, j int) bool { return st.Alloced[i] < st.Alloced[j] })
+	st.Alloced = hi.appendSet(lo.appendSet(make([]uint64, 0, lo.count()+hi.count())))
 	return st
 }
 
-func (a *FrameAllocator) restoreState(st AllocState) {
+// restoreState overlays a capture. Captures may come from snapshot files,
+// so each cursor must lie inside its pool and each listed frame in its
+// pool below the cursor (deferred frees are NVM frames); otherwise the
+// allocator is left as it was and the error names the field.
+func (a *FrameAllocator) restoreState(st AllocState) error {
+	if st.DRAMNext < a.dramUsed.base || st.DRAMNext > a.dramMax {
+		return fmt.Errorf("gemos: restore: Alloc.DRAMNext %#x is outside the DRAM pool [%#x, %#x]", st.DRAMNext, a.dramUsed.base, a.dramMax)
+	}
+	if st.NVMNext < a.nvmPoolStart || st.NVMNext > a.nvmMax {
+		return fmt.Errorf("gemos: restore: Alloc.NVMNext %#x is outside the NVM pool [%#x, %#x]", st.NVMNext, a.nvmPoolStart, a.nvmMax)
+	}
+	dram := func(pfn uint64) bool { return pfn >= a.dramUsed.base && pfn < st.DRAMNext }
+	nvm := func(pfn uint64) bool { return pfn >= a.nvmPoolStart && pfn < st.NVMNext }
+	either := func(pfn uint64) bool { return dram(pfn) || nvm(pfn) }
+	for _, l := range []struct {
+		field  string
+		pfns   []uint64
+		inPool func(uint64) bool
+	}{
+		{"DRAMFree", st.DRAMFree, dram},
+		{"NVMFree", st.NVMFree, nvm},
+		{"Deferred", st.Deferred, nvm},
+		{"Alloced", st.Alloced, either},
+	} {
+		for i, pfn := range l.pfns {
+			if !l.inPool(pfn) {
+				return fmt.Errorf("gemos: restore: Alloc.%s[%d] = pfn %#x is outside its pool (DRAM frames [%#x, %#x), NVM frames [%#x, %#x))",
+					l.field, i, pfn, a.dramUsed.base, st.DRAMNext, a.nvmPoolStart, st.NVMNext)
+			}
+		}
+	}
 	a.dramNext = st.DRAMNext
 	a.dramFree = append([]uint64(nil), st.DRAMFree...)
 	a.nvmNext = st.NVMNext
 	a.nvmFree = append([]uint64(nil), st.NVMFree...)
-	a.allocated = make(map[uint64]bool, len(st.Alloced))
+	a.dramUsed.words = a.dramUsed.words[:0]
+	a.nvmUsed.words = a.nvmUsed.words[:0]
 	for _, pfn := range st.Alloced {
-		a.allocated[pfn] = true
+		if dram(pfn) {
+			a.dramUsed.set(pfn)
+		} else {
+			a.nvmUsed.set(pfn)
+		}
 	}
 	a.deferNVM = st.DeferNVM
 	a.deferred = append([]uint64(nil), st.Deferred...)
+	return nil
 }
 
 func captureProcess(p *Process) ProcessState {
@@ -150,7 +186,9 @@ func RestoreKernel(m *machine.Machine, st KernelState) (*Kernel, error) {
 	k := Boot(m)
 	k.nextPID = st.NextPID
 	k.PTKind = st.PTKind
-	k.Alloc.restoreState(st.Alloc)
+	if err := k.Alloc.restoreState(st.Alloc); err != nil {
+		return nil, err
+	}
 	for i := range st.Procs {
 		ps := &st.Procs[i]
 		p := &Process{

@@ -1,6 +1,10 @@
 package gemos
 
 import (
+	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -596,7 +600,7 @@ func TestReclaimUnreferenced(t *testing.T) {
 	a, _ := k.Alloc.AllocFrame(mem.NVM)
 	b, _ := k.Alloc.AllocFrame(mem.NVM)
 	c, _ := k.Alloc.AllocFrame(mem.NVM)
-	n := k.Alloc.ReclaimUnreferenced(map[uint64]bool{b: true})
+	n := k.Alloc.ReclaimUnreferenced([]uint64{b})
 	if n != 2 {
 		t.Fatalf("reclaimed %d, want 2", n)
 	}
@@ -678,5 +682,165 @@ func TestVMAHelpers(t *testing.T) {
 	as.Insert(&VMA{Start: 0x8000, End: 0xA000, Prot: ProtRead})
 	if as.TotalPages() != 6 {
 		t.Fatalf("TotalPages = %d", as.TotalPages())
+	}
+}
+
+// TestAllocBitsetsFollowCursors: each pool's bitset reaches no further
+// than the word holding its bump cursor, InUse follows every alloc and
+// free, and captureState lists the allocated frames of both pools in
+// ascending order.
+func TestAllocBitsetsFollowCursors(t *testing.T) {
+	k, _ := bootTest(t)
+	a := k.Alloc
+	before := a.captureState().Alloced
+	var got, freed []uint64
+	for i := 0; i < 70; i++ {
+		for _, kind := range []mem.Kind{mem.NVM, mem.DRAM} {
+			pfn, err := a.AllocFrame(kind)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, pfn)
+		}
+	}
+	// Free every third frame; the NVM ones stay in use until the
+	// deferred flush.
+	a.SetDeferNVMFrees(true)
+	for i := 0; i < len(got); i += 3 {
+		a.FreeFrame(got[i])
+		freed = append(freed, got[i])
+	}
+	for _, pfn := range freed {
+		if a.InUse(pfn) != (k.M.Cfg.Layout.KindOf(mem.FrameBase(pfn)) == mem.NVM) {
+			t.Fatalf("frame %#x: InUse %v before the deferred flush", pfn, a.InUse(pfn))
+		}
+	}
+	a.FlushDeferredFrees()
+	live := append([]uint64(nil), before...)
+	for _, pfn := range got {
+		if inUse := !slices.Contains(freed, pfn); a.InUse(pfn) != inUse {
+			t.Fatalf("frame %#x: InUse %v, want %v", pfn, !inUse, inUse)
+		} else if inUse {
+			live = append(live, pfn)
+		}
+	}
+	slices.Sort(live)
+	for _, b := range []struct {
+		name string
+		bits *frameBits
+		next uint64
+	}{{"DRAM", &a.dramUsed, a.dramNext}, {"NVM", &a.nvmUsed, a.nvmNext}} {
+		if words, most := len(b.bits.words), int((b.next-b.bits.base+63)/64); words > most {
+			t.Fatalf("%s bitset has %d words; its bump cursor %#x needs %d", b.name, words, b.next, most)
+		}
+	}
+	if st := a.captureState(); !slices.Equal(st.Alloced, live) {
+		t.Fatalf("Alloced = %#x, want the %d frames in use in ascending order", st.Alloced, len(live))
+	}
+}
+
+// TestRecoverThenReclaim: after RecoverFromBitmap, ReclaimUnreferenced
+// returns exactly the unreferenced NVM pool frames to the pool, in
+// ascending order, and keeps the referenced ones (whatever order and
+// duplicates the referenced list has).
+func TestRecoverThenReclaim(t *testing.T) {
+	k, _ := bootTest(t)
+	a := k.Alloc
+	var nvm []uint64
+	for i := 0; i < 150; i++ {
+		pfn, err := a.AllocFrame(mem.NVM)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nvm = append(nvm, pfn)
+	}
+	for i := 0; i < len(nvm); i += 7 {
+		a.FreeFrame(nvm[i]) // a hole below the highest used frame
+	}
+	k.M.Ctrl.Domain().CommitAll()
+	a.RecoverFromBitmap()
+	var referenced, victims []uint64
+	for i, pfn := range nvm {
+		switch {
+		case i%7 == 0:
+		case i%5 == 0:
+			referenced = append(referenced, pfn, pfn)
+		default:
+			victims = append(victims, pfn)
+		}
+	}
+	slices.Reverse(referenced)
+	referenced = append(referenced, a.dramUsed.base) // a DRAM frame is ignored
+	freeBefore := len(a.nvmFree)
+	if n := a.ReclaimUnreferenced(referenced); n != len(victims) {
+		t.Fatalf("reclaimed %d frames, want %d", n, len(victims))
+	}
+	if got := a.nvmFree[freeBefore:]; !slices.Equal(got, victims) {
+		t.Fatalf("reclaimed %#x, want %#x", got, victims)
+	}
+	for i, pfn := range nvm {
+		if a.InUse(pfn) != (i%7 != 0 && i%5 == 0) {
+			t.Fatalf("frame %#x (allocation %d): InUse %v after the sweep", pfn, i, a.InUse(pfn))
+		}
+	}
+}
+
+// TestRestoreKernelRejectsBadAlloc corrupts the allocator mirror of an
+// otherwise valid capture. RestoreKernel must refuse a cursor outside its
+// pool and a listed frame outside its pool's handed-out range, naming the
+// field, and a refused overlay must leave the allocator as it was.
+// Accepting a free frame outside the pool hands it out later, and the
+// first access to it panics in the memory controller.
+func TestRestoreKernelRejectsBadAlloc(t *testing.T) {
+	k, p := bootTest(t)
+	a, _ := k.Mmap(p, 0, 4*4096, ProtRead|ProtWrite, MapNVM)
+	for i := uint64(0); i < 4; i++ {
+		k.M.Core.Access(a+i*4096, true, 1)
+	}
+	pfn, _ := k.Alloc.AllocFrame(mem.NVM)
+	k.Alloc.FreeFrame(pfn)
+	dpfn, _ := k.Alloc.AllocFrame(mem.DRAM)
+	k.Alloc.FreeFrame(dpfn)
+	src := k.CaptureState()
+	cases := []struct {
+		name    string
+		corrupt func(st *AllocState)
+		want    string
+	}{
+		{"nvm free far away", func(st *AllocState) { st.NVMFree = append(st.NVMFree, 1<<40) }, "Alloc.NVMFree[1] = pfn 0x10000000000 is outside its pool"},
+		{"nvm free at the cursor", func(st *AllocState) { st.NVMFree[0] = st.NVMNext }, "Alloc.NVMFree[0]"},
+		{"nvm free in the reserved area", func(st *AllocState) { st.NVMFree[0] = k.Alloc.nvmPoolStart - 1 }, "Alloc.NVMFree[0]"},
+		{"dram free in nvm", func(st *AllocState) { st.DRAMFree[0] = st.NVMFree[0] }, "Alloc.DRAMFree[0]"},
+		{"deferred dram frame", func(st *AllocState) { st.Deferred = []uint64{st.DRAMFree[0]} }, "Alloc.Deferred[0]"},
+		{"alloced past the cursor", func(st *AllocState) { st.Alloced[len(st.Alloced)-1] = st.NVMNext + 5 }, "Alloc.Alloced[" + strconv.Itoa(len(src.Alloc.Alloced)-1) + "]"},
+		{"dram cursor past the pool", func(st *AllocState) { st.DRAMNext = k.Alloc.dramMax + 1 }, "Alloc.DRAMNext"},
+		{"dram cursor below the pool", func(st *AllocState) { st.DRAMNext = k.Alloc.dramUsed.base - 1 }, "Alloc.DRAMNext"},
+		{"nvm cursor past the pool", func(st *AllocState) { st.NVMNext = k.Alloc.nvmMax + 1 }, "Alloc.NVMNext"},
+		{"nvm cursor in the reserved area", func(st *AllocState) { st.NVMNext = k.Alloc.nvmPoolStart - 1 }, "Alloc.NVMNext"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			st := k.CaptureState()
+			c.corrupt(&st.Alloc)
+			m := machine.New(machine.TestConfig())
+			if _, err := RestoreKernel(m, st); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("RestoreKernel error %v, want one naming %q", err, c.want)
+			}
+			dst, _ := bootTest(t)
+			before := dst.Alloc.captureState()
+			if err := dst.Alloc.restoreState(st.Alloc); err == nil {
+				t.Fatal("allocator accepted the corrupt mirror")
+			}
+			if !reflect.DeepEqual(dst.Alloc.captureState(), before) {
+				t.Fatal("refused mirror changed the allocator")
+			}
+		})
+	}
+	k2, err := RestoreKernel(machine.New(machine.TestConfig()), src)
+	if err != nil {
+		t.Fatalf("valid snapshot refused: %v", err)
+	}
+	if !reflect.DeepEqual(k2.Alloc.captureState(), src.Alloc) {
+		t.Fatal("restored allocator captures differently from its source")
 	}
 }

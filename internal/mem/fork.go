@@ -21,9 +21,9 @@ type WBufEntryState struct {
 }
 
 // NVMState mirrors the NVM controller front-end: the live drain FIFO (the
-// line->deadline map is derivable from it) and the device's next free
-// programming slot. The drain event's arming is captured with the rest of
-// the pending events by the machine layer, not here.
+// write buffer's only state) and the device's next free programming slot.
+// The drain event's arming is captured with the rest of the pending events
+// by the machine layer, not here.
 type NVMState struct {
 	Drain     []WBufEntryState
 	DrainFree sim.Cycles
@@ -61,33 +61,62 @@ func (c *Controller) CaptureState() ControllerState {
 // capture and swaps in backing as the functional store (normally a
 // Backing.Fork of the captured machine's). The controller must be freshly
 // constructed with the same layout and timing parameters. Captures may come
-// from snapshot files, so each pending line is checked: one that is not
-// line-aligned, lies outside the NVM region or appears twice is an error.
+// from snapshot files, so they are checked. The open rows and the drain
+// FIFO are checked before anything changes: a refused FIFO leaves the
+// controller as it was. Each pending line is checked as it is restored:
+// one that is not line-aligned, lies outside the NVM region or appears
+// twice is an error and leaves no line pending.
 func (c *Controller) RestoreState(st ControllerState, backing *Backing) error {
 	if backing == nil {
 		return fmt.Errorf("mem: RestoreState needs a backing store")
 	}
-	c.backing = backing
-	c.domain.backing = backing
-
 	if len(st.DRAMOpenRows) != len(c.dram.openRow) {
 		return fmt.Errorf("mem: RestoreState: %d open rows vs %d banks", len(st.DRAMOpenRows), len(c.dram.openRow))
 	}
+	n := c.nvm
+	if err := n.checkDrain(st.NVM, c.Layout); err != nil {
+		return err
+	}
+	c.backing = backing
+	c.domain.backing = backing
 	copy(c.dram.openRow, st.DRAMOpenRows)
 
-	n := c.nvm
 	n.drainHead = n.drainHead[:0]
 	n.drainAt = 0
-	n.wbuf = make(map[PhysAddr]sim.Cycles, len(st.NVM.Drain))
 	for _, e := range st.NVM.Drain {
 		n.drainHead = append(n.drainHead, wbufEntry{line: PhysAddr(e.Line), done: e.Done})
-		// Later entries for the same line overwrite earlier ones, exactly
-		// the state the live writes left behind.
-		n.wbuf[PhysAddr(e.Line)] = e.Done
 	}
 	n.drainFree = st.NVM.DrainFree
 	n.drainArmed = false
 	return c.domain.restorePending(st.Pending)
+}
+
+// checkDrain refuses a drain FIFO the write buffer could not have built:
+// more entries than it holds, a line that is not a line-aligned address
+// overlapping the NVM region, or deadlines that decrease along the FIFO or
+// pass DrainFree. The read path relies on the order: a line is buffered
+// exactly when a live entry holds it only if entries expire oldest first.
+func (n *NVMSim) checkDrain(st NVMState, l Layout) error {
+	if len(st.Drain) > n.timing.WriteBuf {
+		return fmt.Errorf("mem: RestoreState: drain FIFO holds %d entries, the write buffer %d", len(st.Drain), n.timing.WriteBuf)
+	}
+	nvmEnd := l.NVMBase + PhysAddr(l.NVMSize)
+	var prev sim.Cycles
+	for i, e := range st.Drain {
+		line := PhysAddr(e.Line)
+		switch {
+		case line%LineSize != 0:
+			return fmt.Errorf("mem: RestoreState: drain entry %d: line %#x is not line-aligned", i, e.Line)
+		case line >= nvmEnd || line+LineSize <= l.NVMBase:
+			return fmt.Errorf("mem: RestoreState: drain entry %d: line %#x is outside the NVM region", i, e.Line)
+		case e.Done < prev:
+			return fmt.Errorf("mem: RestoreState: drain entry %d: deadline %d is before the previous entry's %d", i, e.Done, prev)
+		case e.Done > st.DrainFree:
+			return fmt.Errorf("mem: RestoreState: drain entry %d: deadline %d is after DrainFree %d", i, e.Done, st.DrainFree)
+		}
+		prev = e.Done
+	}
+	return nil
 }
 
 // RearmDrain re-arms the drain-completion event at an exact deadline

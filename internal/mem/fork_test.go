@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -64,5 +66,60 @@ func TestRestoreStateRejectsBadPending(t *testing.T) {
 				t.Fatalf("refused state left %d pending lines", got)
 			}
 		})
+	}
+}
+
+// TestRestoreStateRejectsBadDrain corrupts the drain FIFO of an otherwise
+// valid capture. RestoreState must refuse a FIFO the write buffer could
+// not have built, with an error naming the entry, and leave the controller
+// as it was: a read hits the buffer only while a live entry holds its line,
+// which is exact only if deadlines never decrease along the FIFO.
+func TestRestoreStateRejectsBadDrain(t *testing.T) {
+	l := SmallLayout()
+	nvm := uint64(l.NVMBase)
+	src := NewController(l, DDR4_2400(), PCM(), sim.NewClock(), sim.NewStats())
+	for i := uint64(0); i < 4; i++ {
+		src.AccessLine(l.NVMBase+PhysAddr(i*LineSize), true)
+	}
+	cases := []struct {
+		name    string
+		corrupt func(st *NVMState)
+		want    string
+	}{
+		{"deeper than the buffer", func(st *NVMState) {
+			for len(st.Drain) <= PCM().WriteBuf {
+				st.Drain = append(st.Drain, st.Drain[len(st.Drain)-1])
+			}
+		}, "drain FIFO holds 49 entries, the write buffer 48"},
+		{"unaligned line", func(st *NVMState) { st.Drain[1].Line += 8 }, fmt.Sprintf("drain entry 1: line %#x is not line-aligned", nvm+LineSize+8)},
+		{"dram line", func(st *NVMState) { st.Drain[0].Line = nvm - LineSize }, fmt.Sprintf("drain entry 0: line %#x is outside the NVM region", nvm-LineSize)},
+		{"past the nvm end", func(st *NVMState) { st.Drain[3].Line = nvm + l.NVMSize }, fmt.Sprintf("drain entry 3: line %#x is outside the NVM region", nvm+l.NVMSize)},
+		{"deadline decreases", func(st *NVMState) { st.Drain[2].Done = st.Drain[1].Done - 1 }, "drain entry 2: deadline"},
+		{"deadline after drain free", func(st *NVMState) { st.DrainFree = st.Drain[3].Done - 1 }, "drain entry 3: deadline"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			st := src.CaptureState()
+			c.corrupt(&st.NVM)
+			dst := NewController(l, DDR4_2400(), PCM(), sim.NewClock(), sim.NewStats())
+			dst.AccessLine(l.NVMBase+PageSize, true)
+			dst.AccessLine(l.DRAMBase+3*PageSize, false)
+			dst.WriteU64(l.NVMBase+2*PageSize, 7)
+			before, backing := dst.CaptureState(), dst.Backing()
+			err := dst.RestoreState(st, src.Backing().Fork())
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("RestoreState error %v, want one containing %q", err, c.want)
+			}
+			if !reflect.DeepEqual(dst.CaptureState(), before) || dst.Backing() != backing {
+				t.Fatal("refused snapshot changed the controller")
+			}
+		})
+	}
+	dst := NewController(l, DDR4_2400(), PCM(), sim.NewClock(), sim.NewStats())
+	if err := dst.RestoreState(src.CaptureState(), src.Backing().Fork()); err != nil {
+		t.Fatalf("valid snapshot refused: %v", err)
+	}
+	if !reflect.DeepEqual(dst.CaptureState(), src.CaptureState()) {
+		t.Fatal("restored controller captures differently from its source")
 	}
 }

@@ -1,6 +1,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 
@@ -207,6 +208,39 @@ func (p *PersistDomain) Write(pa PhysAddr, src []byte) {
 		}
 		src = src[n:]
 		pa += PhysAddr(n)
+	}
+}
+
+// ReadU64 reads the cache-visible little-endian word at pa: Read for
+// eight bytes, without the line loop when the word sits in one line.
+func (p *PersistDomain) ReadU64(pa PhysAddr) uint64 {
+	line := LineBase(pa)
+	off := uint64(pa - line)
+	if off > LineSize-8 {
+		var buf [8]byte
+		p.Read(pa, buf[:])
+		return binary.LittleEndian.Uint64(buf[:])
+	}
+	if buf := p.pendingNVM(pa, line); buf != nil {
+		return binary.LittleEndian.Uint64(buf[off:])
+	}
+	return p.backing.ReadU64(pa)
+}
+
+// WriteU64 stores the little-endian word v at pa with Write's semantics,
+// without the line loop when the word sits in one line.
+func (p *PersistDomain) WriteU64(pa PhysAddr, v uint64) {
+	line := LineBase(pa)
+	off := uint64(pa - line)
+	switch {
+	case off > LineSize-8:
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		p.Write(pa, buf[:])
+	case p.isNVM(pa):
+		binary.LittleEndian.PutUint64(p.lineForWrite(line, false)[off:], v)
+	default:
+		p.backing.WriteU64(pa, v)
 	}
 }
 

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"kindle/internal/sim"
@@ -21,6 +22,8 @@ const (
 	fzCrash                 //
 	fzSnapshot              // CaptureState → RestoreState on a fresh controller
 	fzHook                  // n, then n decision bytes (n = 0 removes the hook)
+	fzWriteU64              // addr: a patterned word through the word path
+	fzReadU64               // addr: the word path must read the visible bytes
 	fzOps
 )
 
@@ -161,6 +164,15 @@ type persistOps interface {
 	PendingInRange(pa PhysAddr, size uint64) int
 	Crash()
 	ReadCommitted(pa PhysAddr, dst []byte)
+	WriteU64(pa PhysAddr, v uint64)
+}
+
+// WriteU64 is the reference's word store: eight little-endian bytes
+// through Write, as Controller.WriteU64 did before the word path.
+func (p *mapDomain) WriteU64(pa PhysAddr, v uint64) {
+	var buf [8]byte
+	binary.LittleEndian.PutUint64(buf[:], v)
+	p.Write(pa, buf[:])
 }
 
 func (pp *persistPair) setHook(script []CommitDecision) {
@@ -295,6 +307,17 @@ func runPersistProgram(t *testing.T, data []byte) {
 				script[i] = hookDecision(r.byte())
 			}
 			pp.setHook(script)
+		case fzWriteU64:
+			pa := r.addr(windows)
+			v := 0x0101010101010101 * uint64(seq)
+			pp.both("WriteU64", func(d persistOps) int { d.WriteU64(pa, v); return 0 })
+		case fzReadU64:
+			pa := r.addr(windows)
+			var want [8]byte
+			pp.ref.Read(pa, want[:])
+			if got := pp.ctrl.ReadU64(pa); got != binary.LittleEndian.Uint64(want[:]) {
+				t.Fatalf("ReadU64(%#x) = %#x, reference bytes %x", uint64(pa), got, want)
+			}
 		}
 	}
 	pp.check(windows)
@@ -332,6 +355,18 @@ func persistFuzzSeeds() [][]byte {
 		{0, fzWriteLines, 2, 0x00, 0x10, 0, fzWrite, 2, 0x00, 0x11, 0,
 			fzPendingInRange, 2, 0x01, 0x10, 0x00, 0x01, fzPendingInRange, 2, 0x00, 0x10, 0x00, 0x01,
 			fzCommitRange, 2, 0x00, 0x08, 0x00, 0x10},
+		// Words inside a line, straddling two NVM lines and straddling the
+		// DRAM/NVM boundary (the unaligned base puts it mid-line), read
+		// back through the word path before and after a commit and a crash.
+		{1, fzWriteU64, 1, 0x08, 0x10, fzWriteU64, 1, 0x3c, 0x10, fzWriteU64, 1, 0x1c, 0x10,
+			fzReadU64, 1, 0x08, 0x10, fzReadU64, 1, 0x3c, 0x10, fzReadU64, 1, 0x1c, 0x10,
+			fzWriteU64, 0, 0xfc, 0x0f, fzReadU64, 0, 0xfc, 0x0f, fzCommitLine, 1, 0x40, 0x10,
+			fzReadU64, 1, 0x3c, 0x10, fzCrash, fzReadU64, 1, 0x3c, 0x10, fzReadU64, 1, 0x1c, 0x10},
+		// A word straddling a frame boundary in NVM and one at the NVM end,
+		// where the second half falls into the unmapped hole.
+		{0, fzWriteU64, 3, 0xfc, 0x0f, fzReadU64, 3, 0xfc, 0x0f, fzWriteU64, 4, 0xfc, 0x0f,
+			fzReadU64, 4, 0xfc, 0x0f, fzSnapshot, fzReadU64, 3, 0xfc, 0x0f, fzCommitAll,
+			fzReadU64, 4, 0xf8, 0x0f},
 	}
 }
 

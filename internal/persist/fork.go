@@ -2,6 +2,7 @@ package persist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"kindle/internal/gemos"
@@ -41,7 +42,7 @@ type MapChangeState struct {
 type DirtyState struct {
 	PID      int
 	VMADirty bool
-	Changes  []MapChangeState // vpn-sorted (map mirror)
+	Changes  []MapChangeState // vpn-sorted, the last change of each vpn
 }
 
 // ManagerState mirrors the whole manager. The checkpoint timer is captured
@@ -85,11 +86,11 @@ func (mgr *Manager) CaptureState() ManagerState {
 	st.Dirty = make([]DirtyState, 0, len(mgr.dirty))
 	for pid, d := range mgr.dirty {
 		ds := DirtyState{PID: pid, VMADirty: d.vmaDirty}
-		ds.Changes = make([]MapChangeState, 0, len(d.changes))
-		for vpn, ch := range d.changes {
-			ds.Changes = append(ds.Changes, MapChangeState{VPN: vpn, PFN: ch.pfn, Mapped: ch.mapped})
+		changes := settle(slices.Clone(d.changes))
+		ds.Changes = make([]MapChangeState, len(changes))
+		for i, ch := range changes {
+			ds.Changes[i] = MapChangeState{VPN: ch.vpn, PFN: ch.pfn, Mapped: ch.mapped}
 		}
-		sort.Slice(ds.Changes, func(i, j int) bool { return ds.Changes[i].VPN < ds.Changes[j].VPN })
 		st.Dirty = append(st.Dirty, ds)
 	}
 	sort.Slice(st.Dirty, func(i, j int) bool { return st.Dirty[i].PID < st.Dirty[j].PID })
@@ -103,8 +104,27 @@ func (mgr *Manager) CaptureState() ManagerState {
 // process's page-table write hook reinstalled (pt.FromState left them at
 // the default). The checkpoint timer is NOT re-armed here — pass
 // RearmCheckpoint as the "persist.checkpoint" handler to
-// machine.RearmEvents.
+// machine.RearmEvents. Captures may come from snapshot files: a slot whose
+// V2P list names a VPN twice is refused before the kernel or the machine
+// is touched.
 func RestoreManager(k *gemos.Kernel, st ManagerState) (*Manager, error) {
+	if len(st.Slots) != SlotCount {
+		return nil, fmt.Errorf("persist: restore: %d slots captured, want %d", len(st.Slots), SlotCount)
+	}
+	var slots [SlotCount]slotState
+	for i, ss := range st.Slots {
+		if !ss.Used {
+			continue
+		}
+		mirror := newV2PMirror()
+		for j, e := range ss.V2P {
+			if first := mirror.find(e.VPN); first >= 0 {
+				return nil, fmt.Errorf("persist: restore: slot %d: V2P lists VPN %#x twice, at entries %d and %d", i, e.VPN, first, j)
+			}
+			mirror.set(e.VPN, e.PFN)
+		}
+		slots[i] = slotState{used: true, pid: ss.PID, which: ss.Which, gen: ss.Gen, mirror: mirror}
+	}
 	base, size := k.PersistArea()
 	geo, err := newGeometry(base, size)
 	if err != nil {
@@ -118,6 +138,7 @@ func RestoreManager(k *gemos.Kernel, st ManagerState) (*Manager, error) {
 		Costs:    st.Costs,
 		geo:      geo,
 		log:      newRedoLog(k.M, geo.redoBase, redoLogSize),
+		slots:    slots,
 		dirty:    make(map[int]*procDirty, len(st.Dirty)),
 
 		ptLogHead: st.PTLogHead,
@@ -130,24 +151,10 @@ func RestoreManager(k *gemos.Kernel, st ManagerState) (*Manager, error) {
 	}
 	mgr.log.head = st.LogHead
 	mgr.log.live = st.LogLive
-	if len(st.Slots) != SlotCount {
-		return nil, fmt.Errorf("persist: restore: %d slots captured, want %d", len(st.Slots), SlotCount)
-	}
-	for i, ss := range st.Slots {
-		if !ss.Used {
-			continue
-		}
-		mirror := newV2PMirror()
-		for _, e := range ss.V2P {
-			mirror.index[e.VPN] = len(mirror.entries)
-			mirror.entries = append(mirror.entries, v2pEntry{vpn: e.VPN, pfn: e.PFN})
-		}
-		mgr.slots[i] = slotState{used: true, pid: ss.PID, which: ss.Which, gen: ss.Gen, mirror: mirror}
-	}
 	for _, ds := range st.Dirty {
-		d := &procDirty{vmaDirty: ds.VMADirty, changes: make(map[uint64]mapChange, len(ds.Changes))}
-		for _, ch := range ds.Changes {
-			d.changes[ch.VPN] = mapChange{pfn: ch.PFN, mapped: ch.Mapped}
+		d := &procDirty{vmaDirty: ds.VMADirty, changes: make([]mapChange, len(ds.Changes))}
+		for j, ch := range ds.Changes {
+			d.changes[j] = mapChange{vpn: ch.VPN, pfn: ch.PFN, mapped: ch.Mapped}
 		}
 		mgr.dirty[ds.PID] = d
 	}

@@ -1,9 +1,10 @@
 package persist
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"kindle/internal/gemos"
 	"kindle/internal/machine"
@@ -45,26 +46,67 @@ type v2pEntry struct {
 }
 
 // v2pMirror is the host-side mirror of a slot's mapping list; the NVM copy
-// is serialized from it at each checkpoint.
+// is serialized from it at each checkpoint. The list order decides which
+// NVM slot each checkpoint writes, so removal swaps the last entry into
+// the gap. The index from vpn to list position is a set of leaves, one per
+// 2 MiB of virtual space, reached through a map by vpn>>v2pLeafBits; the
+// leaf used last is cached, since faults and munmaps walk runs of pages.
 type v2pMirror struct {
 	entries []v2pEntry
-	index   map[uint64]int
+	leaves  map[uint64]*v2pLeaf
+	lastKey uint64
+	last    *v2pLeaf // nil until the first lookup
 }
 
+// v2pLeafBits sizes an index leaf: 512 vpns, 2 MiB of virtual space.
+const v2pLeafBits = 9
+
+// v2pLeaf holds, for each vpn of its region, 1 + the vpn's position in the
+// entry list, or 0 when the vpn is absent.
+type v2pLeaf [1 << v2pLeafBits]int32
+
 func newV2PMirror() *v2pMirror {
-	return &v2pMirror{index: make(map[uint64]int)}
+	return &v2pMirror{leaves: make(map[uint64]*v2pLeaf)}
+}
+
+// slot returns vpn's index slot, creating its leaf when create is set; it
+// returns nil when the leaf is absent and create is not set.
+func (v *v2pMirror) slot(vpn uint64, create bool) *int32 {
+	key := vpn >> v2pLeafBits
+	if v.last == nil || v.lastKey != key {
+		l := v.leaves[key]
+		if l == nil {
+			if !create {
+				return nil
+			}
+			l = new(v2pLeaf)
+			v.leaves[key] = l
+		}
+		v.last, v.lastKey = l, key
+	}
+	return &v.last[vpn&(1<<v2pLeafBits-1)]
+}
+
+// find returns vpn's position in the entry list, or -1 when it is absent.
+func (v *v2pMirror) find(vpn uint64) int {
+	if s := v.slot(vpn, false); s != nil {
+		return int(*s) - 1
+	}
+	return -1
 }
 
 // set inserts or updates vpn→pfn and returns the index of the entry slot
 // that was written (the appended slot for an insert, the existing slot for
 // an update).
 func (v *v2pMirror) set(vpn, pfn uint64) int {
-	if i, ok := v.index[vpn]; ok {
+	s := v.slot(vpn, true)
+	if *s != 0 {
+		i := int(*s) - 1
 		v.entries[i].pfn = pfn
 		return i
 	}
 	i := len(v.entries)
-	v.index[vpn] = i
+	*s = int32(i + 1)
 	v.entries = append(v.entries, v2pEntry{vpn: vpn, pfn: pfn})
 	return i
 }
@@ -73,18 +115,20 @@ func (v *v2pMirror) set(vpn, pfn uint64) int {
 // the swap-with-last compaction, or -1 when no slot was written (vpn absent
 // or the removed entry was the last one).
 func (v *v2pMirror) remove(vpn uint64) int {
-	i, ok := v.index[vpn]
-	if !ok {
+	s := v.slot(vpn, false)
+	if s == nil || *s == 0 {
 		return -1
 	}
+	i := int(*s) - 1
+	*s = 0
 	last := len(v.entries) - 1
-	v.entries[i] = v.entries[last]
-	v.index[v.entries[i].vpn] = i
+	moved := v.entries[last]
 	v.entries = v.entries[:last]
-	delete(v.index, vpn)
 	if i == last {
 		return -1
 	}
+	v.entries[i] = moved
+	*v.slot(moved.vpn, false) = int32(i + 1)
 	return i
 }
 
@@ -92,6 +136,7 @@ func (v *v2pMirror) len() int { return len(v.entries) }
 
 // mapChange is a pending (not yet checkpointed) mapping mutation.
 type mapChange struct {
+	vpn    uint64
 	pfn    uint64
 	mapped bool
 }
@@ -100,7 +145,22 @@ type mapChange struct {
 // checkpoint.
 type procDirty struct {
 	vmaDirty bool
-	changes  map[uint64]mapChange
+	changes  []mapChange // log order; truncated at each checkpoint
+}
+
+// settle sorts changes by vpn, keeping log order among equal vpns, and
+// compacts them in place to the last change of each vpn: the vpn-sorted,
+// last-write-wins set a checkpoint applies.
+func settle(changes []mapChange) []mapChange {
+	slices.SortStableFunc(changes, func(a, b mapChange) int { return cmp.Compare(a.vpn, b.vpn) })
+	out := changes[:0]
+	for i, ch := range changes {
+		if i+1 < len(changes) && changes[i+1].vpn == ch.vpn {
+			continue // a later change of this vpn wins
+		}
+		out = append(out, ch)
+	}
+	return out
 }
 
 type slotState struct {
@@ -272,7 +332,7 @@ func (mgr *Manager) pteHook(p *gemos.Process) pt.WriteHook {
 func (mgr *Manager) dirtyFor(pid int) *procDirty {
 	d := mgr.dirty[pid]
 	if d == nil {
-		d = &procDirty{changes: make(map[uint64]mapChange)}
+		d = &procDirty{}
 		mgr.dirty[pid] = d
 	}
 	return d
@@ -295,7 +355,18 @@ func (mgr *Manager) LogMapping(p *gemos.Process, vpn, pfn uint64, mapped bool) {
 		return
 	}
 	d := mgr.dirtyFor(p.PID)
-	d.changes[vpn] = mapChange{pfn: pfn, mapped: mapped}
+	if len(d.changes) == cap(d.changes) {
+		// Drop superseded changes before growing, so a long interval of
+		// remapping the same pages keeps the log within a few times its
+		// set of vpns. Settling part of the log early leaves the set the
+		// checkpoint settles to unchanged. The log keeps at least half its
+		// room free afterwards, so settles stay rare.
+		d.changes = settle(d.changes)
+		if len(d.changes) > cap(d.changes)/2 {
+			d.changes = slices.Grow(d.changes, len(d.changes))
+		}
+	}
+	d.changes = append(d.changes, mapChange{vpn: vpn, pfn: pfn, mapped: mapped})
 	typ := uint64(logMapAdd)
 	if !mapped {
 		typ = logMapRemove
@@ -582,7 +653,7 @@ func (mgr *Manager) Checkpoint() {
 
 		if d != nil {
 			d.vmaDirty = false
-			d.changes = make(map[uint64]mapChange)
+			d.changes = d.changes[:0]
 		}
 	}
 
@@ -641,19 +712,13 @@ func (mgr *Manager) maintainV2P(slot int, st *slotState, d *procDirty, target in
 	// entry is written into the NVM list with write-back + fence so the
 	// list is durably consistent entry by entry.
 	if d != nil && len(d.changes) > 0 {
-		vpns := make([]uint64, 0, len(d.changes))
-		for vpn := range d.changes {
-			vpns = append(vpns, vpn)
-		}
-		sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
 		base := mgr.geo.v2pAddr(slot, target)
-		for _, vpn := range vpns {
-			ch := d.changes[vpn]
+		for _, ch := range settle(d.changes) {
 			var idx int
 			if ch.mapped {
-				idx = st.mirror.set(vpn, ch.pfn)
+				idx = st.mirror.set(ch.vpn, ch.pfn)
 			} else {
-				idx = st.mirror.remove(vpn)
+				idx = st.mirror.remove(ch.vpn)
 			}
 			mgr.v2pUpdates.Inc()
 			// Timed: one entry write in the target copy + clwb + fence,
@@ -695,7 +760,7 @@ func (mgr *Manager) maintainV2P(slot int, st *slotState, d *procDirty, target in
 		n = mgr.geo.v2pCap
 		m.Stats.Inc("persist.v2p_truncated")
 	}
-	buf := mgr.v2pBuf[:0]
+	buf := slices.Grow(mgr.v2pBuf[:0], int(n)*v2pEntrySize)
 	for _, e := range st.mirror.entries[:n] {
 		buf = binary.LittleEndian.AppendUint64(buf, e.vpn)
 		buf = binary.LittleEndian.AppendUint64(buf, e.pfn)

@@ -451,7 +451,7 @@ func TestV2PMirror(t *testing.T) {
 	v.set(1, 10)
 	v.set(2, 20)
 	v.set(1, 11) // update in place
-	if v.len() != 2 || v.entries[v.index[1]].pfn != 11 {
+	if v.len() != 2 || v.entries[v.find(1)].pfn != 11 {
 		t.Fatalf("mirror state: %+v", v.entries)
 	}
 	v.remove(1)

@@ -99,16 +99,18 @@ func (mgr *Manager) Recover() ([]*gemos.Process, error) {
 	// recovered structure references were allocated after the last
 	// checkpoint (or belonged to exited processes); sweep them back into
 	// the pool.
-	referenced := make(map[uint64]bool)
+	n := 0
+	for _, p := range recovered {
+		n += p.Table.Mapped() + p.Table.TablePageCount()
+	}
+	referenced := make([]uint64, 0, n)
 	for _, p := range recovered {
 		p.Table.ForEachMapped(func(va uint64, e pt.PTE) bool {
-			referenced[e.PFN()] = true
+			referenced = append(referenced, e.PFN())
 			return true
 		})
 		if p.Table.Kind() == mem.NVM {
-			for _, pfn := range p.Table.TablePages() {
-				referenced[pfn] = true
-			}
+			referenced = append(referenced, p.Table.TablePages()...)
 		}
 	}
 	if n := k.Alloc.ReclaimUnreferenced(referenced); n > 0 {
@@ -237,6 +239,7 @@ func (mgr *Manager) mirrorFromNVM(slot, which int) *v2pMirror {
 	n := m.LoadU64(sa + cnt)
 	base := mgr.geo.v2pAddr(slot, which)
 	mirror := newV2PMirror()
+	mirror.entries = make([]v2pEntry, 0, min(n, mgr.geo.v2pCap))
 	for i := uint64(0); i < n; i++ {
 		ea := base + mem.PhysAddr(i*v2pEntrySize)
 		mirror.set(m.LoadU64(ea), m.LoadU64(ea+8))
