@@ -40,21 +40,19 @@ func TestWriteBenchReport(t *testing.T) {
 	bh := testing.Benchmark(BenchmarkShardedReplayThroughput)
 	rep.ShardedRecordsPerSec = bh.Extra["records/sec"]
 
-	// Warm-fork win: cold grid-cell warmup ns/op over copy-on-write
-	// fork+resume ns/op, plus the fork's allocation count. Informational
-	// (fork and cold boot are identity-gated; only host time differs).
-	cold := testing.Benchmark(BenchmarkColdGridWarmup)
-	forked := testing.Benchmark(BenchmarkForkGridWarmup)
+	// Resume win: re-simulating a mid-replay prefix ns/op over resuming a
+	// copy-on-write snapshot of it ns/op, plus the resume's allocation
+	// count. Informational (resume and re-simulation are identity-gated;
+	// only host time differs).
+	cold := testing.Benchmark(BenchmarkColdReplayWarmup)
+	forked := testing.Benchmark(BenchmarkForkReplayWarmup)
 	if ns := forked.NsPerOp(); ns > 0 {
 		rep.ForkSpeedup = float64(cold.NsPerOp()) / float64(ns)
 	}
 	rep.ForkAllocsPerFork = uint64(forked.AllocsPerOp())
 
-	// The suite runs with warm-forked grid cells; Fork records that as an
-	// environment knob so benchdiff refuses mixed-fork comparisons.
-	rep.Fork = true
 	start := time.Now()
-	if _, err := bench.RunAll(bench.Options{Scale: rep.SuiteScale, WarmFork: true}, nil); err != nil {
+	if _, err := bench.RunAll(bench.Options{Scale: rep.SuiteScale}, nil); err != nil {
 		t.Fatal(err)
 	}
 	rep.SuiteWallClockSec = time.Since(start).Seconds()

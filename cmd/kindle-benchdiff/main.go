@@ -25,7 +25,7 @@ func main() {
 	ratioWarn := flag.Float64("ratio-warn", 0.10, "warn when the stream/materialized throughput ratio drops more than this fraction (0 disables)")
 	ratioFail := flag.Float64("ratio-fail", 0.20, "fail when the stream/materialized throughput ratio drops more than this fraction (0 disables)")
 	minRatio := flag.Float64("min-ratio", 1.0, "fail when the fresh stream/materialized ratio is below this absolute floor; set 0 on hosts without a spare core, where the pipelined decoder cannot hide decode cost")
-	normEnv := flag.Bool("normalize-env", false, "compare reports from different gomaxprocs/suite_scale/shards/decode_workers/fork environments, normalizing throughput per proc (refused otherwise)")
+	normEnv := flag.Bool("normalize-env", false, "compare reports from different gomaxprocs/suite_scale/shards/decode_workers environments, normalizing throughput per proc (refused otherwise)")
 	flag.Parse()
 
 	if *fresh == "" {

@@ -10,10 +10,10 @@ import (
 	"kindle/internal/workloads"
 )
 
-// forkBenchWarmup is the warm-prefix length both warmup benchmarks pay: a
+// forkBenchWarmup is the replay prefix both warmup benchmarks reach: a
 // multiple of the replay tick grain (32), most of the 50k-record image, so
-// the simulated warmup dominates the boot cost like a real grid cell's
-// does.
+// the simulated prefix dominates the boot cost, as it does for a `kindle
+// -snapshot-in` run or a crash-sweep point.
 const forkBenchWarmup = 32_000
 
 func forkBenchImage(b *testing.B) *trace.Image {
@@ -26,10 +26,10 @@ func forkBenchImage(b *testing.B) *trace.Image {
 	return img
 }
 
-// BenchmarkColdGridWarmup simulates one bench-grid cell's warmup from
-// scratch: boot, enable persistence, launch the replay and simulate the
-// warm prefix. This is the per-cell cost a cold grid pays.
-func BenchmarkColdGridWarmup(b *testing.B) {
+// BenchmarkColdReplayWarmup reaches a mid-replay state from scratch: boot,
+// enable persistence, launch the replay and simulate the forkBenchWarmup
+// prefix. This is what a run pays when it does not resume a snapshot.
+func BenchmarkColdReplayWarmup(b *testing.B) {
 	img := forkBenchImage(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -49,12 +49,13 @@ func BenchmarkColdGridWarmup(b *testing.B) {
 	}
 }
 
-// BenchmarkForkGridWarmup reaches the same warmed state by forking a
-// copy-on-write snapshot captured once: resume the machine, kernel and
+// BenchmarkForkReplayWarmup reaches the same mid-replay state by resuming
+// a copy-on-write snapshot captured once: restore the machine, kernel and
 // manager and fast-forward the decoder past the prefix without simulating
-// it. ns/op against BenchmarkColdGridWarmup's is the fork_speedup recorded
-// in BENCH_replay.json; allocs/op is fork_allocs_per_fork.
-func BenchmarkForkGridWarmup(b *testing.B) {
+// it, as `kindle -snapshot-in` does. ns/op against
+// BenchmarkColdReplayWarmup's is the fork_speedup recorded in
+// BENCH_replay.json; allocs/op is fork_allocs_per_fork.
+func BenchmarkForkReplayWarmup(b *testing.B) {
 	img := forkBenchImage(b)
 	f := core.NewDefault()
 	mgr, err := f.EnablePersistence(persist.Rebuild, 10*time.Millisecond)

@@ -29,13 +29,12 @@ type ExtCheckCostResult struct {
 
 // ExtCheckCost runs the ablation at one Fig. 4a point (256 MB scaled).
 func ExtCheckCost(opt Options) (*ExtCheckCostResult, error) {
-	opt = opt.warmed()
 	size := opt.scaleBytes(256 << 20)
 	res := &ExtCheckCostResult{SizeMB: int(size >> 20)}
 	for _, ns := range []float64{1000, 3000, 10000} {
 		row := ExtCheckCostRow{CheckNanos: ns}
 		for _, scheme := range []persist.Scheme{persist.Persistent, persist.Rebuild} {
-			f, p, err := opt.persistenceRun(scheme, opt.scaleInterval(ckptInterval))
+			f, p, err := newPersistenceRun(scheme, opt.scaleInterval(ckptInterval))
 			if err != nil {
 				return nil, err
 			}

@@ -1,7 +1,9 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -75,7 +77,7 @@ func ExtConsolidation(opt Options) (*ExtConsolidationResult, error) {
 		if err := rep.Run(); err != nil {
 			return nil, err
 		}
-		opt.Progress.AddRecords(rep.Replayed())
+		opt.Progress.AddRecords(rep.Consumed())
 		ctl.Disable()
 		res.Rows = append(res.Rows, ExtConsolidationRow{
 			Interval:     iv,
@@ -200,6 +202,40 @@ func ExtNVMTech(opt Options) (*ExtNVMTechResult, error) {
 		})
 	}
 	return res, nil
+}
+
+// replayExecMs replays img on a machine with the given configuration and
+// returns the simulated execution time in milliseconds. With opt.Shards > 0
+// the replay goes through core.ReplaySharded — the same code path as
+// `kindle -shards` — at that shard count; sharded times use cold segment
+// boundaries, so runs at different shard counts only compare to themselves.
+func replayExecMs(img *trace.Image, cfg machine.Config, opt Options) (float64, error) {
+	if opt.Shards > 0 {
+		var buf bytes.Buffer
+		if err := trace.EncodeV2(&buf, img, trace.StreamOptions{}); err != nil {
+			return 0, err
+		}
+		data := buf.Bytes()
+		res, err := core.ReplaySharded(func() (io.ReadSeeker, error) {
+			return bytes.NewReader(data), nil
+		}, core.ShardedOptions{Shards: opt.Shards, Config: &cfg})
+		if err != nil {
+			return 0, err
+		}
+		opt.Progress.AddRecords(res.Records)
+		return res.Cycles.Millis(), nil
+	}
+	f := core.New(cfg)
+	_, rep, err := f.LaunchInit(img)
+	if err != nil {
+		return 0, err
+	}
+	start := f.M.Clock.Now()
+	if err := rep.Run(); err != nil {
+		return 0, err
+	}
+	opt.Progress.AddRecords(rep.Consumed())
+	return (f.M.Clock.Now() - start).Millis(), nil
 }
 
 // Render prints the sweep.

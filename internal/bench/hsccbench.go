@@ -47,7 +47,7 @@ func runHSCC(img *trace.Image, threshold uint32, chargeOS bool, opt Options) (hs
 	if err := rep.Run(); err != nil {
 		return hsccRun{}, err
 	}
-	opt.Progress.AddRecords(rep.Replayed())
+	opt.Progress.AddRecords(rep.Consumed())
 	ctl.Stop()
 	return hsccRun{
 		execMs:         (f.M.Clock.Now() - start).Millis(),

@@ -40,9 +40,8 @@ type IntervalsResult struct {
 // rebuild-scheme checkpointing while snapshotting interval stats each
 // checkpoint period, then parses the emitted gem5 blocks back.
 func Intervals(opt Options) (*IntervalsResult, error) {
-	opt = opt.warmed()
 	interval := opt.scaleInterval(ckptInterval)
-	f, p, err := opt.persistenceRun(persist.Rebuild, interval)
+	f, p, err := newPersistenceRun(persist.Rebuild, interval)
 	if err != nil {
 		return nil, err
 	}

@@ -2,8 +2,8 @@ package bench
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"kindle/internal/core"
 )
 
 // workers resolves Options.Parallel: values <= 0 mean one worker per
@@ -15,65 +15,19 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEachIndexed runs fn(0..n-1) across a pool of at most workers
-// goroutines. Each index runs exactly once and must write only to its own
-// result slot, which is what makes the fan-out deterministic: results are
-// assembled by index afterwards, never in completion order.
-//
-// Every index runs even when another fails (simulations have no shared
-// state to corrupt); the returned error is the lowest-index failure, so
-// the outcome is independent of goroutine scheduling.
-// forEachTask is forEachIndexed plus progress accounting: the n grid cells
-// are registered with opt.Progress up front, and each one is tracked
-// (label, wall-clock duration) while it runs — the feed behind /progress
-// and the live ETA. Grid fan-outs should prefer this over forEachIndexed
-// whenever the indices are meaningful units of work; with no Tracker
-// attached it degenerates to forEachIndexed.
+// forEachTask is core.ForEachIndexed over opt's worker pool plus progress
+// accounting: the n grid cells are registered with opt.Progress up front,
+// and each one is tracked (label, wall-clock duration) while it runs — the
+// feed behind /progress and the live ETA. Grid fan-outs should prefer this
+// over core.ForEachIndexed whenever the indices are meaningful units of
+// work; with no Tracker attached it degenerates to core.ForEachIndexed.
 func forEachTask(opt Options, n int, label func(i int) string, fn func(i int) error) error {
 	tr := opt.Progress
 	tr.AddTasks(n)
 	tr.SetWorkers(opt.workers())
-	return forEachIndexed(opt.workers(), n, func(i int) error {
+	return core.ForEachIndexed(opt.workers(), n, func(i int) error {
 		id := tr.taskStarted(label(i))
 		defer tr.taskFinished(id)
 		return fn(i)
 	})
-}
-
-func forEachIndexed(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = fn(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					errs[i] = fn(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -28,12 +28,6 @@ type Options struct {
 	// observational — attaching it never changes scheduling or results.
 	Progress *Tracker
 
-	// WarmFork boots each persistence-grid cell by forking a shared
-	// copy-on-write snapshot of the (scheme, interval) boot prefix instead
-	// of re-simulating it. Results are byte-identical either way (pinned by
-	// TestGridWarmForkIdentity); the fork only removes redundant host work.
-	WarmFork bool
-
 	// Shards > 0 routes replay-bearing cells that only need total simulated
 	// execution time (the NVM-technology extension) through the sharded
 	// replay engine at that shard count. Sharded times use cold segment
@@ -41,10 +35,6 @@ type Options struct {
 	// Shards fixed when diffing reports (kindle-benchdiff refuses mixed
 	// shard counts without -normalize-env).
 	Shards int
-
-	// warm is the shared snapshot cache WarmFork cells fork from; attached
-	// by warmed() so closures capturing Options share one cache.
-	warm *warmCache
 }
 
 func (o Options) scale() float64 {
@@ -101,7 +91,6 @@ var persistSchemes = [2]persist.Scheme{persist.Persistent, persist.Rebuild}
 // size x scheme grid fans out over the worker pool; each cell owns a whole
 // machine, so results match a sequential run exactly.
 func Fig4a(opt Options) (*Fig4aResult, error) {
-	opt = opt.warmed()
 	sizes := []int{64, 128, 256, 512}
 	ms := make([]float64, len(sizes)*2)
 	label := func(idx int) string {
@@ -110,7 +99,7 @@ func Fig4a(opt Options) (*Fig4aResult, error) {
 	err := forEachTask(opt, len(ms), label, func(idx int) error {
 		sizeMB, scheme := sizes[idx/2], persistSchemes[idx%2]
 		size := opt.scaleBytes(uint64(sizeMB) << 20)
-		f, p, err := opt.persistenceRun(scheme, opt.scaleInterval(ckptInterval))
+		f, p, err := newPersistenceRun(scheme, opt.scaleInterval(ckptInterval))
 		if err != nil {
 			return err
 		}
@@ -195,7 +184,6 @@ type Fig4bResult struct {
 
 // Fig4b regenerates Figure 4b: ten 4 KB pages at 1 GB, 2 MB and 4 KB gaps.
 func Fig4b(opt Options) (*Fig4bResult, error) {
-	opt = opt.warmed()
 	strides := []Fig4bRow{
 		{Stride: "1GB", Gap: 1 << 30},
 		{Stride: "2MB", Gap: 2 << 20},
@@ -214,7 +202,7 @@ func Fig4b(opt Options) (*Fig4bResult, error) {
 	}
 	err := forEachTask(opt, len(ms), label, func(idx int) error {
 		row, scheme := strides[idx/2], persistSchemes[idx%2]
-		f, p, err := opt.persistenceRun(scheme, opt.scaleInterval(ckptInterval))
+		f, p, err := newPersistenceRun(scheme, opt.scaleInterval(ckptInterval))
 		if err != nil {
 			return err
 		}
@@ -288,7 +276,6 @@ type TableIIIResult struct {
 
 // TableIII regenerates Table III.
 func TableIII(opt Options) (*TableIIIResult, error) {
-	opt = opt.warmed()
 	total := opt.scaleBytes(512 << 20)
 	sizes := []int{64, 128, 256}
 	ms := make([]float64, len(sizes)*2)
@@ -301,7 +288,7 @@ func TableIII(opt Options) (*TableIIIResult, error) {
 		if chunk > total/2 {
 			chunk = total / 2
 		}
-		f, p, err := opt.persistenceRun(scheme, opt.scaleInterval(ckptInterval))
+		f, p, err := newPersistenceRun(scheme, opt.scaleInterval(ckptInterval))
 		if err != nil {
 			return err
 		}
@@ -372,7 +359,6 @@ type TableIVResult struct {
 // TableIV regenerates Table IV: churn+access under 10 ms, 100 ms and 1 s
 // checkpoint intervals.
 func TableIV(opt Options) (*TableIVResult, error) {
-	opt = opt.warmed()
 	total := opt.scaleBytes(512 << 20)
 	const rounds = 4
 	intervals := []time.Duration{10 * time.Millisecond, 100 * time.Millisecond, time.Second}
@@ -391,7 +377,7 @@ func TableIV(opt Options) (*TableIVResult, error) {
 		if chunk > total/2 {
 			chunk = total / 2
 		}
-		f, p, err := opt.persistenceRun(scheme, opt.scaleInterval(iv))
+		f, p, err := newPersistenceRun(scheme, opt.scaleInterval(iv))
 		if err != nil {
 			return err
 		}

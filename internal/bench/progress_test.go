@@ -184,7 +184,7 @@ func TestForEachTaskTracksAndDelegates(t *testing.T) {
 		t.Fatalf("workers = %d", s.Workers)
 	}
 
-	// Without a tracker it is plain forEachIndexed.
+	// Without a tracker it is plain core.ForEachIndexed.
 	n := 0
 	if err := forEachTask(Options{Parallel: 1}, 3, func(int) string { return "" }, func(int) error { n++; return nil }); err != nil {
 		t.Fatal(err)

@@ -37,27 +37,23 @@ type Report struct {
 	// refused without normalization, like gomaxprocs.
 	Shards        int `json:"shards,omitempty"`
 	DecodeWorkers int `json:"decode_workers,omitempty"`
-	// ForkSpeedup is the cold-boot-over-warm-fork wall-clock ratio for one
-	// persistence-grid cell's boot prefix (BenchmarkColdGridWarmup ns/op
-	// over BenchmarkForkGridWarmup ns/op): >1 means forking the shared
-	// copy-on-write snapshot beats re-simulating the warmup. Informational,
-	// never gated (fork and cold boot produce byte-identical results; this
-	// only records the wall-clock win). Zero in reports from before machine
-	// snapshots existed.
+	// ForkSpeedup is the wall-clock ratio of re-simulating a 32,000-record
+	// replay prefix over resuming a snapshot taken at its end
+	// (BenchmarkColdReplayWarmup ns/op over BenchmarkForkReplayWarmup
+	// ns/op): >1 means resuming a mid-replay snapshot, as `kindle
+	// -snapshot-in` and the crash sweep do, beats simulating the prefix
+	// again. Informational, never gated (resume and re-simulation produce
+	// byte-identical results; this only records the wall-clock win). Zero
+	// in reports from before machine snapshots existed.
 	ForkSpeedup float64 `json:"fork_speedup,omitempty"`
-	// ForkAllocsPerFork is BenchmarkForkGridWarmup's allocs/op: the
-	// allocation count of one copy-on-write fork+resume. Informational.
+	// ForkAllocsPerFork is BenchmarkForkReplayWarmup's allocs/op: the
+	// allocation count of one copy-on-write resume. Informational.
 	ForkAllocsPerFork uint64 `json:"fork_allocs_per_fork,omitempty"`
 	// SuiteWallClockSec is the wall-clock time of one full RunAll at
 	// SuiteScale with the default worker pool.
 	SuiteWallClockSec float64 `json:"suite_wall_clock_sec"`
 	SuiteScale        float64 `json:"suite_scale"`
-	// Fork records whether the suite ran with warm-forked grid cells
-	// (Options.WarmFork). An environment knob like gomaxprocs: results are
-	// identical either way but wall-clock is not, so reports measured with
-	// differing fork settings are refused without normalization.
-	Fork       bool `json:"fork,omitempty"`
-	GOMAXPROCS int  `json:"gomaxprocs"`
+	GOMAXPROCS        int     `json:"gomaxprocs"`
 	// Env records the toolchain, platform and UTC time the report was
 	// measured under. WriteFile stamps it automatically; it is printed by
 	// kindle-benchdiff for provenance, never gated on. Nil in reports
@@ -172,12 +168,10 @@ type CompareOptions struct {
 // says so in a warning.
 func CompareReports(base, fresh *Report, opt CompareOptions) (warnings []string, err error) {
 	if base.GOMAXPROCS != fresh.GOMAXPROCS || base.SuiteScale != fresh.SuiteScale ||
-		base.Shards != fresh.Shards || base.DecodeWorkers != fresh.DecodeWorkers ||
-		base.Fork != fresh.Fork {
-		desc := fmt.Sprintf("gomaxprocs %d vs %d, suite_scale %g vs %g, shards %d vs %d, decode_workers %d vs %d, fork %t vs %t; base %s, fresh %s",
+		base.Shards != fresh.Shards || base.DecodeWorkers != fresh.DecodeWorkers {
+		desc := fmt.Sprintf("gomaxprocs %d vs %d, suite_scale %g vs %g, shards %d vs %d, decode_workers %d vs %d; base %s, fresh %s",
 			base.GOMAXPROCS, fresh.GOMAXPROCS, base.SuiteScale, fresh.SuiteScale,
 			base.Shards, fresh.Shards, base.DecodeWorkers, fresh.DecodeWorkers,
-			base.Fork, fresh.Fork,
 			base.Env, fresh.Env)
 		if !opt.NormalizeEnv {
 			return nil, fmt.Errorf("bench: reports measured in different environments (%s); rerun with env normalization enabled (-normalize-env) to compare per-proc throughput anyway", desc)

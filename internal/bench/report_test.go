@@ -198,7 +198,6 @@ func TestCompareReportsRefusesShardMismatch(t *testing.T) {
 	}{
 		{"shards differ", Report{RecordsPerSec: 1000, Shards: 8, DecodeWorkers: 4, GOMAXPROCS: 1}},
 		{"decode workers differ", Report{RecordsPerSec: 1000, Shards: 4, DecodeWorkers: 2, GOMAXPROCS: 1}},
-		{"fork differs", Report{RecordsPerSec: 1000, Shards: 4, DecodeWorkers: 4, GOMAXPROCS: 1, Fork: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := CompareReports(base, &tc.fresh, opt); err == nil {
@@ -214,6 +213,43 @@ func TestCompareReportsRefusesShardMismatch(t *testing.T) {
 				t.Fatal("normalized comparison produced no explanatory warning")
 			}
 		})
+	}
+}
+
+// TestCompareReportsIgnoresRetiredForkKey: baselines recorded while the
+// suite could warm-fork its grid cells carry "fork": true. Every cell now
+// boots cold, so the key describes nothing a fresh report can differ in:
+// such a baseline must gate a fresh report (which has no fork key) without
+// -normalize-env.
+func TestCompareReportsIgnoresRetiredForkKey(t *testing.T) {
+	dir := t.TempDir()
+	basePath := filepath.Join(dir, "base.json")
+	if err := os.WriteFile(basePath, []byte(`{"records_per_sec": 7e6, "stream_records_per_sec": 5e6, "sharded_records_per_sec": 4e6, "shards": 4, "decode_workers": 2, "fork_speedup": 7.5, "suite_wall_clock_sec": 4.3, "suite_scale": 0.0625, "fork": true, "gomaxprocs": 2}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := LoadReport(basePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshPath := filepath.Join(dir, "fresh.json")
+	r := &Report{RecordsPerSec: 7e6, StreamRecordsPerSec: 5e6, ShardedRecordsPerSec: 4e6,
+		Shards: 4, DecodeWorkers: 2, SuiteWallClockSec: 4.3, SuiteScale: 0.0625, GOMAXPROCS: 2}
+	if err := r.WriteFile(freshPath); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(freshPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"fork"`) {
+		t.Fatalf("fresh report carries a fork key:\n%s", data)
+	}
+	fresh, err := LoadReport(freshPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CompareReports(base, fresh, CompareOptions{WarnFrac: 0.10, FailFrac: 0.20}); err != nil {
+		t.Fatalf("baseline with a fork key refused: %v", err)
 	}
 }
 

@@ -143,7 +143,7 @@ func runSSP(img *trace.Image, interval, consolidation time.Duration, opt Options
 	if err := rep.Run(); err != nil {
 		return 0, err
 	}
-	opt.Progress.AddRecords(rep.Replayed())
+	opt.Progress.AddRecords(rep.Consumed())
 	if ctl != nil {
 		ctl.Disable()
 	}

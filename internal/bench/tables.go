@@ -193,9 +193,6 @@ func (r *Results) CheckShapes() error {
 // (every experiment writes its own slot, and each simulation owns its
 // machine).
 func RunAll(opt Options, progress func(string)) (*Results, error) {
-	// Attach the warm-fork snapshot cache (if enabled) once, so experiments
-	// with the same (scheme, interval) boot prefix share it across the run.
-	opt = opt.warmed()
 	var mu sync.Mutex
 	note := func(s string) {
 		if progress == nil {
@@ -225,7 +222,7 @@ func RunAll(opt Options, progress func(string)) (*Results, error) {
 		{"Image sizes", func() (err error) { res.ImageSizes, err = ImageSizes(opt); return }},
 	}
 	opt.Progress.SetWorkers(opt.workers())
-	err := forEachIndexed(opt.workers(), len(tasks), func(i int) error {
+	err := core.ForEachIndexed(opt.workers(), len(tasks), func(i int) error {
 		opt.Progress.ExperimentStarted(tasks[i].name)
 		if err := tasks[i].run(); err != nil {
 			return err

@@ -24,7 +24,6 @@ import (
 	"kindle/internal/gemos"
 	"kindle/internal/hscc"
 	"kindle/internal/machine"
-	"kindle/internal/mem"
 	"kindle/internal/persist"
 	"kindle/internal/prep"
 	"kindle/internal/sim"
@@ -153,12 +152,8 @@ type Replay struct {
 	batch    []trace.Record
 	pos      int // cursor into batch
 	consumed int
-	// resumedAt is the consumed count a snapshot-resumed replay started
-	// from (0 for a replay launched cold); Replayed subtracts it so
-	// progress accounting only counts records this run simulated.
-	resumedAt int
-	total     int // -1 when the source cannot tell upfront
-	drained   bool
+	total    int // -1 when the source cannot tell upfront
+	drained  bool
 
 	// ComputeCyclesPerPeriod charges non-memory instruction time between
 	// records from the trace's logical periods.
@@ -277,13 +272,6 @@ func (r *Replay) Total() int { return r.total }
 // any prefix a snapshot-resumed replay skipped over (the absolute trace
 // position).
 func (r *Replay) Consumed() int { return r.consumed }
-
-// Replayed returns how many records this run actually simulated: Consumed
-// minus the prefix a snapshot resume fast-forwarded past. Progress
-// accounting (bench.Tracker records gauges) sums Replayed so forked cells
-// sharing one warmup never double-count it — the gauges stay cumulative
-// and monotone.
-func (r *Replay) Replayed() int { return r.consumed - r.resumedAt }
 
 // Remaining returns how many records are left, or -1 when the source's
 // total is unknown.
@@ -417,12 +405,4 @@ func (r *Replay) Teardown() error {
 		}
 	}
 	return nil
-}
-
-// MemKindOf reports which memory technology backs a replay area (tests).
-func (r *Replay) MemKindOf(area int) mem.Kind {
-	if r.areas[area].NVM {
-		return mem.NVM
-	}
-	return mem.DRAM
 }

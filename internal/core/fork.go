@@ -15,9 +15,9 @@ import (
 
 // Framework-level snapshots: a machine snapshot plus the OS state layered
 // on top (kernel, persistence manager, replay position). Taking one is
-// cheap — the frame store is shared copy-on-write — so a warmed framework
-// can be forked once per grid cell, per trace segment or per crash point
-// instead of re-simulating the warmup each time.
+// cheap — the frame store is shared copy-on-write — so a run that has
+// simulated a prefix can be resumed from it (`kindle -snapshot-in`) instead
+// of re-simulating that prefix.
 
 // ReplayState records where a replay stood at snapshot time. The record
 // source itself is a stream and cannot be captured; ResumeReplay reopens
@@ -126,7 +126,6 @@ func (f *Framework) ResumeReplay(s *Snapshot, src trace.RecordSource) (*Replay, 
 	if err := rep.skip(st.Consumed); err != nil {
 		return nil, err
 	}
-	rep.resumedAt = st.Consumed
 	return rep, nil
 }
 

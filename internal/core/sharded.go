@@ -19,7 +19,6 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"kindle/internal/machine"
@@ -48,11 +47,11 @@ type ShardedOptions struct {
 	// Config is the machine configuration each segment's instance boots
 	// with (nil = machine.DefaultConfig()).
 	Config *machine.Config
-	// WarmFork seeds every segment from one shared boot snapshot (machine
-	// booted, init spawned, areas mapped) forked copy-on-write, instead of
-	// cold-booting per segment. Results are byte-identical either way —
-	// pinned by TestShardedWarmForkIdentity — the fork only skips
-	// re-simulating the boot prefix.
+	// WarmFork is read by nothing: every segment cold-boots. The field
+	// remains only so that code which still assigns it (the perfbench
+	// module) keeps compiling.
+	//
+	// Deprecated: has no effect.
 	WarmFork bool
 	// OnProgress, when set, observes global progress: records replayed
 	// across all segments so far, out of the trace total. Called from
@@ -115,34 +114,6 @@ func ReplaySharded(open func() (io.ReadSeeker, error), opt ShardedOptions) (*Sha
 		return nil, fmt.Errorf("core: scanning chunk index: %w", err)
 	}
 
-	// WarmFork: simulate the boot prefix (machine boot, init spawn, area
-	// mmaps) exactly once and freeze it; every segment resumes from a
-	// copy-on-write fork instead of re-simulating it. The template replay
-	// consumes zero records, so a resumed segment starts at the same point
-	// a cold-booted one would.
-	var seed *Snapshot
-	if opt.WarmFork {
-		rs, err := open()
-		if err != nil {
-			return nil, fmt.Errorf("core: opening trace for warm template: %w", err)
-		}
-		src, err := ix.OpenRange(rs, 0, 0)
-		if err != nil {
-			closeReader(rs)
-			return nil, err
-		}
-		f := New(cfg)
-		_, rep, err := f.LaunchStream(src)
-		if err == nil {
-			seed = f.Snapshot(rep)
-		}
-		src.Close()
-		closeReader(rs)
-		if err != nil {
-			return nil, fmt.Errorf("core: building warm template: %w", err)
-		}
-	}
-
 	nSegs := (len(ix.Chunks) + segChunks - 1) / segChunks
 	if nSegs == 0 {
 		// A v2 trace with zero records has no chunks. Still replay one
@@ -157,7 +128,7 @@ func ReplaySharded(open func() (io.ReadSeeker, error), opt ShardedOptions) (*Sha
 		Shards:   shards,
 	}
 	var done atomic.Int64
-	err = forEachSegment(shards, nSegs, func(i int) error {
+	err = ForEachIndexed(shards, nSegs, func(i int) error {
 		lo := i * segChunks
 		hi := min(lo+segChunks, len(ix.Chunks))
 		var report func(delta int)
@@ -166,7 +137,7 @@ func ReplaySharded(open func() (io.ReadSeeker, error), opt ShardedOptions) (*Sha
 				opt.OnProgress(int(done.Add(int64(delta))), ix.Total)
 			}
 		}
-		st, n, cyc, err := replaySegment(ix, open, lo, hi, cfg, seed, report)
+		st, n, cyc, err := replaySegment(ix, open, lo, hi, cfg, report)
 		if err != nil {
 			return fmt.Errorf("core: segment %d (chunks [%d, %d)): %w", i, lo, hi, err)
 		}
@@ -192,10 +163,9 @@ func ReplayShardedFile(path string, opt ShardedOptions) (*ShardedResult, error) 
 	return ReplaySharded(func() (io.ReadSeeker, error) { return os.Open(path) }, opt)
 }
 
-// replaySegment replays chunks [lo, hi) on a fresh framework — cold-booted,
-// or forked from the warm seed snapshot — and returns its stats registry,
-// record count and final clock.
-func replaySegment(ix *trace.ChunkIndex, open func() (io.ReadSeeker, error), lo, hi int, cfg machine.Config, seed *Snapshot, report func(delta int)) (*sim.Stats, int, sim.Cycles, error) {
+// replaySegment replays chunks [lo, hi) on a cold-booted framework and
+// returns its stats registry, record count and final clock.
+func replaySegment(ix *trace.ChunkIndex, open func() (io.ReadSeeker, error), lo, hi int, cfg machine.Config, report func(delta int)) (*sim.Stats, int, sim.Cycles, error) {
 	rs, err := open()
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("opening trace: %w", err)
@@ -206,14 +176,8 @@ func replaySegment(ix *trace.ChunkIndex, open func() (io.ReadSeeker, error), lo,
 		return nil, 0, 0, err
 	}
 	defer src.Close()
-	var f *Framework
-	var rep *Replay
-	if seed != nil {
-		f, rep, err = RunFromSnapshot(seed, src)
-	} else {
-		f = New(cfg)
-		_, rep, err = f.LaunchStream(src)
-	}
+	f := New(cfg)
+	_, rep, err := f.LaunchStream(src)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -246,47 +210,4 @@ func closeReader(rs io.ReadSeeker) {
 	if c, ok := rs.(io.Closer); ok {
 		c.Close()
 	}
-}
-
-// forEachSegment fans fn(0..n-1) over at most workers goroutines, each
-// index exactly once, writing only its own slot; the returned error is the
-// lowest-index failure so the outcome is scheduling-independent. (Local
-// clone of the bench worker pool — bench imports core, so core cannot
-// import it back.)
-func forEachSegment(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	errs := make([]error, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = fn(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					errs[i] = fn(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

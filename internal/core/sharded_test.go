@@ -6,11 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"kindle/internal/machine"
-	"kindle/internal/persist"
-	"kindle/internal/sim"
 	"kindle/internal/trace"
 )
 
@@ -93,141 +90,6 @@ func TestShardedStatsIdentity(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestShardedWarmForkIdentity pins the snapshot-seeded sharding claim:
-// segments forked from the shared boot snapshot produce dumps
-// byte-identical to cold-booted segments. stepped runs ReplayShardedFile
-// at every shard count, where only the replay moves the clock, record by
-// record; event-clock replays each segment with idle stretches between
-// replay steps, so the event loop fires checkpoint timers armed before
-// the fork.
-func TestShardedWarmForkIdentity(t *testing.T) {
-	path := shardedImageFile(t, smallImage(t), 1024)
-	t.Run("stepped", func(t *testing.T) {
-		cfg := machine.TestConfig()
-		opt := ShardedOptions{Shards: 1, SegmentChunks: 3, Config: &cfg}
-		cold, err := ReplayShardedFile(path, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		coldDump := cold.Stats.Dump("")
-		for _, shards := range []int{1, 2, 4} {
-			opt.Shards = shards
-			opt.WarmFork = true
-			warm, err := ReplayShardedFile(path, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if warm.Records != cold.Records {
-				t.Fatalf("warm fork at %d shards replayed %d records, cold %d",
-					shards, warm.Records, cold.Records)
-			}
-			if warm.Cycles != cold.Cycles {
-				t.Fatalf("warm fork at %d shards: %d cycles, cold %d",
-					shards, warm.Cycles, cold.Cycles)
-			}
-			if dump := warm.Stats.Dump(""); dump != coldDump {
-				t.Fatalf("warm-forked %d-shard dump diverged from cold boot", shards)
-			}
-			for i := range warm.Segments {
-				if warm.Segments[i].Cycles != cold.Segments[i].Cycles {
-					t.Fatalf("segment %d: warm clock %d, cold %d",
-						i, warm.Segments[i].Cycles, cold.Segments[i].Cycles)
-				}
-			}
-		}
-	})
-	t.Run("event-clock", func(t *testing.T) {
-		const segChunks = 3
-		cfg := machine.TestConfig()
-		rs, err := os.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ix, err := trace.ScanChunkIndex(rs)
-		rs.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, rep := idleSegmentLaunch(t, path, ix, 0, 0, cfg, nil)
-		seed := f.Snapshot(rep)
-		var checkpoints uint64
-		for lo := 0; lo < len(ix.Chunks); lo += segChunks {
-			hi := min(lo+segChunks, len(ix.Chunks))
-			cold, coldClock, n := idleSegment(t, path, ix, lo, hi, cfg, nil)
-			warm, warmClock, _ := idleSegment(t, path, ix, lo, hi, cfg, seed)
-			if warmClock != coldClock {
-				t.Fatalf("segment [%d, %d): warm clock %d, cold %d", lo, hi, warmClock, coldClock)
-			}
-			if warm != cold {
-				t.Fatalf("segment [%d, %d): warm-forked dump diverged from cold boot:\n%s",
-					lo, hi, firstDiff(warm, cold))
-			}
-			checkpoints += n
-		}
-		if checkpoints == 0 {
-			t.Fatal("no idle stretch started a checkpoint")
-		}
-	})
-}
-
-// idleSegmentLaunch opens chunks [lo, hi) of the trace at path and starts
-// their replay the way replaySegment does: forked from seed, or, when seed
-// is nil, on a cold-booted framework with rebuild persistence armed.
-func idleSegmentLaunch(t *testing.T, path string, ix *trace.ChunkIndex, lo, hi int, cfg machine.Config, seed *Snapshot) (*Framework, *Replay) {
-	t.Helper()
-	rs, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { rs.Close() })
-	src, err := ix.OpenRange(rs, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { src.Close() })
-	if seed != nil {
-		f, rep, err := RunFromSnapshot(seed, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f, rep
-	}
-	f := New(cfg)
-	mgr, err := f.EnablePersistence(persist.Rebuild, 2*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mgr.Start()
-	_, rep, err := f.LaunchStream(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f, rep
-}
-
-// idleSegment replays one segment, passing 1 ms of idle time at a 10 µs
-// grain after every 512 records. It returns the segment's dump, its final
-// clock and how many checkpoints it started.
-func idleSegment(t *testing.T, path string, ix *trace.ChunkIndex, lo, hi int, cfg machine.Config, seed *Snapshot) (string, sim.Cycles, uint64) {
-	t.Helper()
-	f, rep := idleSegmentLaunch(t, path, ix, lo, hi, cfg, seed)
-	rep.lastPeriod = ix.Chunks[lo].BasePeriod
-	for {
-		done, err := rep.Step(512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if done {
-			break
-		}
-		f.RunIdle(time.Millisecond, 10*time.Microsecond)
-	}
-	if err := rep.Teardown(); err != nil {
-		t.Fatal(err)
-	}
-	return f.M.Stats.Dump(""), f.M.Clock.Now(), f.M.Stats.Get("persist.checkpoints_started")
 }
 
 // TestShardedDegenerateInputs pins the zero-record and

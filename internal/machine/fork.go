@@ -131,19 +131,3 @@ func (m *Machine) RearmEvents(s *Snapshot, extra map[string]func(when sim.Cycles
 	}
 	return nil
 }
-
-// Fork snapshots m and immediately restores a child from it — the
-// convenience path for machines with no OS-level timers pending (anything
-// beyond "nvm.drain" needs Snapshot + NewFromSnapshot + RearmEvents with
-// explicit handlers, and fails here).
-func (m *Machine) Fork() (*Machine, error) {
-	s := m.Snapshot()
-	child, err := NewFromSnapshot(s)
-	if err != nil {
-		return nil, err
-	}
-	if err := child.RearmEvents(s, nil); err != nil {
-		return nil, err
-	}
-	return child, nil
-}
