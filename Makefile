@@ -81,7 +81,9 @@ crashsweep:
 # fuzzsmoke runs the checked-in corpus plus 10 seconds of new coverage over
 # each fuzz target: the v1/v2 binary decoders checked against the
 # sequential reference, the chunk-index scan plus range decode (see
-# internal/trace/fuzz_test.go), the NVM pending store and its word path
+# internal/trace/fuzz_test.go), the ring-buffered v2 writer checked
+# against the serial writer it replaced, byte for byte and under a failing
+# io.Writer (see internal/trace/writer_ref_test.go), the NVM pending store and its word path
 # checked against its map-based reference (see
 # internal/mem/persist_fuzz_test.go), the FIFO-only NVM write buffer
 # checked against the map-keyed buffer it replaced at depths 1 to 192 (see
@@ -95,6 +97,7 @@ crashsweep:
 fuzzsmoke:
 	$(GO) test -run XXX -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run XXX -fuzz '^FuzzChunkIndex$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run XXX -fuzz '^FuzzStreamWriter$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run XXX -fuzz '^FuzzPersistDomain$$' -fuzztime 10s ./internal/mem
 	$(GO) test -run XXX -fuzz '^FuzzNVMWriteBuffer$$' -fuzztime 10s ./internal/mem
 	$(GO) test -run XXX -fuzz '^FuzzRunUntil$$' -fuzztime 10s ./internal/machine
@@ -134,9 +137,10 @@ lint:
 
 # profile records CPU and allocation profiles for both replay benchmarks,
 # for a rebuild-scheme checkpoint at persist-churn's 32,768 mapped NVM
-# pages and for persist-churn's mmap/touch/munmap loop under profiles/
-# (gitignored). See "Recipe: profiling the replay engine" in EXPERIMENTS.md
-# for how to read them.
+# pages, for persist-churn's mmap/touch/munmap loop and for trace
+# preparation (the v2 writer plus the R-MAT generator, merged into one
+# prep profile) under profiles/ (gitignored). See "Recipe: profiling the
+# replay engine" in EXPERIMENTS.md for how to read them.
 profile:
 	mkdir -p profiles
 	$(GO) test -run XXX -bench '^BenchmarkReplayThroughput$$' -benchtime 2s \
@@ -147,10 +151,17 @@ profile:
 		-cpuprofile profiles/checkpoint_cpu.prof -memprofile profiles/checkpoint_mem.prof -o profiles/persist.test ./internal/persist
 	$(GO) test -run XXX -bench '^BenchmarkChurnTouch$$' -benchtime 2s \
 		-cpuprofile profiles/churn_cpu.prof -memprofile profiles/churn_mem.prof -o profiles/persist.test ./internal/persist
-	@echo "wrote profiles/{replay,stream,checkpoint,churn}_{cpu,mem}.prof; try:"
+	$(GO) test -run XXX -bench '^BenchmarkV2Encode$$' -benchtime 2s \
+		-cpuprofile profiles/encode_cpu.prof -memprofile profiles/encode_mem.prof -o profiles/trace.test ./internal/trace
+	$(GO) test -run XXX -bench '^BenchmarkGenRMAT$$' -benchtime 2s \
+		-cpuprofile profiles/rmat_cpu.prof -memprofile profiles/rmat_mem.prof -o profiles/workloads.test ./internal/workloads
+	$(GO) tool pprof -proto profiles/encode_cpu.prof profiles/rmat_cpu.prof > profiles/prep_cpu.prof
+	$(GO) tool pprof -proto profiles/encode_mem.prof profiles/rmat_mem.prof > profiles/prep_mem.prof
+	@echo "wrote profiles/{replay,stream,checkpoint,churn,prep}_{cpu,mem}.prof; try:"
 	@echo "  go tool pprof -top -nodecount 20 profiles/kindle.test profiles/replay_cpu.prof"
 	@echo "  go tool pprof -top -nodecount 20 profiles/persist.test profiles/checkpoint_cpu.prof"
 	@echo "  go tool pprof -top -nodecount 20 profiles/persist.test profiles/churn_cpu.prof"
+	@echo "  go tool pprof -top -nodecount 20 profiles/prep_cpu.prof"
 
 # bench runs the microbenchmarks, then records the headline numbers
 # (replay records/sec, suite wall-clock, GOMAXPROCS) in BENCH_replay.json

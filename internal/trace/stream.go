@@ -754,27 +754,81 @@ type StreamOptions struct {
 	NoCompress bool
 }
 
-// StreamWriter emits the v2 format incrementally: records go to disk as
-// they are written, so a capture as large as the disk never materializes
-// in memory. Close flushes the tail chunk and writes the footer index.
+// StreamWriter emits the v2 format incrementally. Write appends each
+// record's varints to the open chunk; a full chunk is compressed on its own
+// goroutine while the caller fills the next, and the caller's goroutine
+// writes finished chunks to w in stream order, so every call on w and every
+// footer entry happens on the caller's goroutine. The writer holds at most
+// GOMAXPROCS+1 chunks — the open one and up to GOMAXPROCS being compressed
+// or waiting to be written — so a capture as large as the disk never
+// materializes in memory; a chunk reaches w once a later one needs its
+// slot, and Close writes what is left, then the footer index. After a
+// write to w fails, the writer waits for its in-flight chunks and returns
+// that error from every later Write and from Close.
 type StreamWriter struct {
 	bw        *bufio.Writer
 	areas     []Area
 	chunkRecs int
 	compress  bool
 
-	payload    bytes.Buffer
-	deflated   bytes.Buffer
-	deflater   *flate.Writer
-	count      int
+	// ring[open] is the chunk being filled; the busy chunks before it,
+	// the oldest at ring[(open-busy) mod len(ring)], are being compressed
+	// or wait to be written.
+	ring []encSlot
+	open int
+	busy int
+
+	count      int    // records in the open chunk
 	basePeriod uint64 // last period committed before the open chunk
 	lastPeriod uint64
 	lastOff    []uint64
 	index      []chunkIndexEntry
 	total      int
 	writes     int
-	scratch    [binary.MaxVarintLen64]byte
+	scratch    [4 + 5*binary.MaxVarintLen64]byte
 	closed     bool
+	err        error // first failed write to w; sticky
+}
+
+// encSlot is one chunk of the writer's ring. The caller fills payload and
+// the frame fields and starts encode on a new goroutine, which fills codec,
+// out and err and signals done; the caller writes out only after receiving
+// from done, which orders every field access between the two.
+type encSlot struct {
+	payload    []byte // the chunk's raw varints
+	count      int
+	basePeriod uint64
+
+	deflated bytes.Buffer
+	deflater *flate.Writer
+	codec    byte
+	out      []byte // payload or deflated's bytes: what goes to disk
+	err      error
+	done     chan struct{}
+}
+
+// encode compresses the slot's payload when compress is set, keeping it
+// raw if deflate doesn't shrink it (tiny chunks), and signals done.
+func (s *encSlot) encode(compress bool) {
+	s.codec, s.out, s.err = codecRaw, s.payload, nil
+	if compress {
+		s.deflated.Reset()
+		if s.deflater == nil {
+			s.deflater, s.err = flate.NewWriter(&s.deflated, flate.BestSpeed)
+		} else {
+			s.deflater.Reset(&s.deflated)
+		}
+		if s.err == nil {
+			_, s.err = s.deflater.Write(s.payload)
+		}
+		if s.err == nil {
+			s.err = s.deflater.Close()
+		}
+		if s.err == nil && s.deflated.Len() < len(s.payload) {
+			s.codec, s.out = codecFlate, s.deflated.Bytes()
+		}
+	}
+	s.done <- struct{}{}
 }
 
 // NewStreamWriter starts a v2 image on w with the given header. The areas
@@ -803,7 +857,11 @@ func NewStreamWriter(w io.Writer, benchmark string, areas []Area, opt StreamOpti
 		areas:     append([]Area(nil), areas...),
 		chunkRecs: chunkRecs,
 		compress:  !opt.NoCompress,
+		ring:      make([]encSlot, runtime.GOMAXPROCS(0)+1),
 		lastOff:   make([]uint64, len(areas)),
+	}
+	for i := range sw.ring {
+		sw.ring[i].done = make(chan struct{}, 1)
 	}
 	if err := sw.writeHeader(benchmark); err != nil {
 		return nil, err
@@ -818,8 +876,7 @@ func (sw *StreamWriter) putU32(v uint32) error {
 }
 
 func (sw *StreamWriter) putUvarint(v uint64) error {
-	n := binary.PutUvarint(sw.scratch[:], v)
-	_, err := sw.bw.Write(sw.scratch[:n])
+	_, err := sw.bw.Write(binary.AppendUvarint(sw.scratch[:0], v))
 	return err
 }
 
@@ -865,131 +922,149 @@ func (sw *StreamWriter) writeHeader(benchmark string) error {
 	return nil
 }
 
+// appendUvarint is binary.AppendUvarint with the one-byte case inline: most
+// period deltas, tags and sizes fit in one byte.
+func appendUvarint(p []byte, v uint64) []byte {
+	if v < 0x80 {
+		return append(p, byte(v))
+	}
+	return binary.AppendUvarint(p, v)
+}
+
 // Write appends one record, validating it against the header. Records must
 // arrive in period order, exactly as a Validate-clean image would hold
-// them.
+// them. A rejected record leaves the writer as it was.
 func (sw *StreamWriter) Write(rec Record) error {
 	if sw.closed {
 		return errors.New("trace: write to closed stream writer")
 	}
-	if err := validateRecord(rec, sw.areas, sw.lastPeriod, sw.total); err != nil {
-		return err
+	if sw.err != nil {
+		return sw.err
 	}
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		sw.payload.Write(tmp[:n])
+	// The happy path is a handful of inline branches; only a bad record
+	// drops to validateRecord for the precise error text.
+	if end := rec.Offset + uint64(rec.Size); int(rec.Area) >= len(sw.areas) || rec.Size == 0 ||
+		rec.Period < sw.lastPeriod || rec.Op > Write || end > sw.areas[rec.Area].Size || end < rec.Offset {
+		return validateRecord(rec, sw.areas, sw.lastPeriod, sw.total)
 	}
-	put(rec.Period - sw.lastPeriod)
+	s := &sw.ring[sw.open]
+	p := appendUvarint(s.payload, rec.Period-sw.lastPeriod)
+	p = appendUvarint(p, uint64(rec.Area)<<1|uint64(rec.Op))
+	p = appendUvarint(p, zigzag(int64(rec.Offset-sw.lastOff[rec.Area])))
+	s.payload = appendUvarint(p, uint64(rec.Size))
 	sw.lastPeriod = rec.Period
-	put(uint64(rec.Area)<<1 | uint64(rec.Op))
-	put(zigzag(int64(rec.Offset - sw.lastOff[rec.Area])))
 	sw.lastOff[rec.Area] = rec.Offset
-	put(uint64(rec.Size))
 	sw.count++
 	sw.total++
 	if rec.Op == Write {
 		sw.writes++
 	}
 	if sw.count >= sw.chunkRecs {
-		return sw.flushChunk()
+		return sw.submit()
 	}
 	return nil
 }
 
-// flushChunk commits the open chunk: frame header, (optionally deflated)
-// payload, index entry; then resets the delta state for the next chunk.
-func (sw *StreamWriter) flushChunk() error {
-	if sw.count == 0 {
-		return nil
-	}
-	rawLen := sw.payload.Len()
-	codec := byte(codecRaw)
-	out := sw.payload.Bytes()
-	if sw.compress {
-		sw.deflated.Reset()
-		if sw.deflater == nil {
-			var err error
-			if sw.deflater, err = flate.NewWriter(&sw.deflated, flate.BestSpeed); err != nil {
-				return err
-			}
-		} else {
-			sw.deflater.Reset(&sw.deflated)
-		}
-		if _, err := sw.deflater.Write(out); err != nil {
-			return err
-		}
-		if err := sw.deflater.Close(); err != nil {
-			return err
-		}
-		// Keep the raw payload if deflate didn't help (tiny chunks).
-		if sw.deflated.Len() < rawLen {
-			codec = codecFlate
-			out = sw.deflated.Bytes()
-		}
-	}
-	if err := sw.putUvarint(uint64(sw.count)); err != nil {
-		return err
-	}
-	if err := sw.bw.WriteByte(codec); err != nil {
-		return err
-	}
-	if err := sw.putUvarint(sw.basePeriod); err != nil {
-		return err
-	}
-	if err := sw.putUvarint(uint64(rawLen)); err != nil {
-		return err
-	}
-	if err := sw.putUvarint(uint64(len(out))); err != nil {
-		return err
-	}
-	if _, err := sw.bw.Write(out); err != nil {
-		return err
-	}
-	sw.index = append(sw.index, chunkIndexEntry{records: uint64(sw.count), diskBytes: uint64(len(out))})
+// submit hands the open chunk to its encode goroutine and opens the next
+// slot, first writing out the chunk that holds it when the ring is full;
+// the delta state resets for the new chunk.
+func (sw *StreamWriter) submit() error {
+	s := &sw.ring[sw.open]
+	s.count, s.basePeriod = sw.count, sw.basePeriod
+	go s.encode(sw.compress)
+	sw.busy++
+	sw.open = (sw.open + 1) % len(sw.ring)
 	sw.basePeriod = sw.lastPeriod
 	sw.count = 0
-	sw.payload.Reset()
 	clear(sw.lastOff)
+	if sw.busy == len(sw.ring) {
+		if err := sw.emit(); err != nil {
+			return err
+		}
+	}
+	sw.ring[sw.open].payload = sw.ring[sw.open].payload[:0]
 	return nil
 }
 
-// Close flushes the tail chunk, writes the terminator and footer index,
-// and flushes the buffered writer. It does not close the underlying
-// writer. Close is not idempotent-safe for further Writes.
+// emit waits for the oldest busy chunk and writes it: frame header,
+// payload, index entry.
+func (sw *StreamWriter) emit() error {
+	s := &sw.ring[(sw.open-sw.busy+len(sw.ring))%len(sw.ring)]
+	<-s.done
+	sw.busy--
+	if s.err != nil {
+		return sw.fail(s.err)
+	}
+	h := binary.AppendUvarint(sw.scratch[:0], uint64(s.count))
+	h = append(h, s.codec)
+	h = binary.AppendUvarint(h, s.basePeriod)
+	h = binary.AppendUvarint(h, uint64(len(s.payload)))
+	h = binary.AppendUvarint(h, uint64(len(s.out)))
+	if _, err := sw.bw.Write(h); err != nil {
+		return sw.fail(err)
+	}
+	if _, err := sw.bw.Write(s.out); err != nil {
+		return sw.fail(err)
+	}
+	sw.index = append(sw.index, chunkIndexEntry{records: uint64(s.count), diskBytes: uint64(len(s.out))})
+	return nil
+}
+
+// fail records err as the writer's sticky error once every in-flight
+// chunk has finished, so an abandoned writer leaves no goroutine behind.
+func (sw *StreamWriter) fail(err error) error {
+	for ; sw.busy > 0; sw.busy-- {
+		<-sw.ring[(sw.open-sw.busy+len(sw.ring))%len(sw.ring)].done
+	}
+	sw.err = err
+	return err
+}
+
+// Close submits the tail chunk, writes every chunk still in the ring, the
+// terminator and the footer index, and flushes the buffered writer. It
+// does not close the underlying writer. A second Close returns nil; Write
+// after Close fails.
 func (sw *StreamWriter) Close() error {
 	if sw.closed {
 		return nil
 	}
 	sw.closed = true
-	if err := sw.flushChunk(); err != nil {
-		return err
+	if sw.err != nil {
+		return sw.err
 	}
-	if err := sw.putUvarint(0); err != nil {
-		return err
+	if sw.count > 0 {
+		if err := sw.submit(); err != nil {
+			return err
+		}
 	}
-	var footer bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		footer.Write(tmp[:n])
+	for sw.busy > 0 {
+		if err := sw.emit(); err != nil {
+			return err
+		}
 	}
-	put(uint64(len(sw.index)))
+	footer := binary.AppendUvarint(nil, uint64(len(sw.index)))
 	for _, e := range sw.index {
-		put(e.records)
-		put(e.diskBytes)
+		footer = binary.AppendUvarint(footer, e.records)
+		footer = binary.AppendUvarint(footer, e.diskBytes)
 	}
-	put(uint64(sw.total))
-	if _, err := sw.bw.Write(footer.Bytes()); err != nil {
-		return err
+	footer = binary.AppendUvarint(footer, uint64(sw.total))
+	err := sw.putUvarint(0)
+	if err == nil {
+		_, err = sw.bw.Write(footer)
 	}
-	if err := sw.putU32(uint32(footer.Len())); err != nil {
-		return err
+	if err == nil {
+		err = sw.putU32(uint32(len(footer)))
 	}
-	if err := sw.putU32(footerMagic); err != nil {
-		return err
+	if err == nil {
+		err = sw.putU32(footerMagic)
 	}
-	return sw.bw.Flush()
+	if err == nil {
+		err = sw.bw.Flush()
+	}
+	if err != nil {
+		return sw.fail(err)
+	}
+	return nil
 }
 
 // Count returns the records written so far.

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -16,30 +17,44 @@ import (
 func mkImage(n int) *Image {
 	img := &Image{
 		Benchmark: "stream",
-		Areas: []Area{
-			{Name: "heap0", Size: 1 << 24, NVM: true, Write: true},
-			{Name: "stack", Size: 1 << 16, Write: true},
-		},
+		Areas:     mkAreas(),
+		Records:   make([]Record, 0, n),
 	}
 	var period uint64
 	for i := 0; i < n; i++ {
-		if i%3 != 0 {
-			period += uint64(i%5) + 1
-		}
-		rec := Record{
-			Period: period,
-			Op:     Op(i % 2),
-			Size:   uint32(4 << (i % 4)),
-			Area:   uint32(i % 2),
-		}
-		if rec.Area == 0 {
-			rec.Offset = (uint64(i) * 2654435761) % (1<<24 - 64)
-		} else {
-			rec.Offset = uint64(i*8) % (1<<16 - 64)
-		}
+		rec := mkRecord(i, period)
+		period = rec.Period
 		img.Records = append(img.Records, rec)
 	}
 	return img
+}
+
+// mkAreas is mkImage's area table.
+func mkAreas() []Area {
+	return []Area{
+		{Name: "heap0", Size: 1 << 24, NVM: true, Write: true},
+		{Name: "stack", Size: 1 << 16, Write: true},
+	}
+}
+
+// mkRecord returns record i of mkImage's stream, given the period of
+// record i-1 (0 for the first).
+func mkRecord(i int, period uint64) Record {
+	if i%3 != 0 {
+		period += uint64(i%5) + 1
+	}
+	rec := Record{
+		Period: period,
+		Op:     Op(i % 2),
+		Size:   uint32(4 << (i % 4)),
+		Area:   uint32(i % 2),
+	}
+	if rec.Area == 0 {
+		rec.Offset = (uint64(i) * 2654435761) % (1<<24 - 64)
+	} else {
+		rec.Offset = uint64(i*8) % (1<<16 - 64)
+	}
+	return rec
 }
 
 func drain(t *testing.T, src RecordSource) []Record {
@@ -552,6 +567,29 @@ func BenchmarkV2Decode(b *testing.B) {
 	}
 }
 
+// BenchmarkV2Encode measures the v2 writer over a million-record image at
+// the default chunk size and at 4,096-record chunks, in records/s.
+func BenchmarkV2Encode(b *testing.B) {
+	img := mkImage(1 << 20)
+	for _, tc := range []struct {
+		name string
+		opt  StreamOptions
+	}{
+		{"default", StreamOptions{}},
+		{"chunk4096", StreamOptions{ChunkRecords: 4096}},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := EncodeV2(io.Discard, img, tc.opt); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N)*float64(len(img.Records))/b.Elapsed().Seconds(), "records/s")
+		})
+	}
+}
+
 // TestStreamDecodeBoundedMemory pins the streaming memory contract:
 // draining a multi-million-record v2 stream must keep live heap growth
 // bounded by the decode pool's ring of chunks, while materializing the same
@@ -631,4 +669,64 @@ func TestStreamDecodeBoundedMemory(t *testing.T) {
 	}
 	t.Logf("materialized: live heap growth %d KiB", matGrowth/1024)
 	runtime.KeepAlive(got)
+}
+
+// TestStreamEncodeBoundedMemory pins the writer's memory contract: a
+// default-chunk encode of a 2M-record stream, fed one record at a time,
+// never holds more than the GOMAXPROCS+1 chunks of its ring, whatever the
+// stream's length. Each chunk slot is bounded by a flate writer plus twice
+// the chunk's raw payload for the payload buffer and twice again for the
+// deflate output (append and bytes.Buffer growth at most double), and
+// mkImage's records encode to at most 7 bytes each. Skipped in -short runs.
+func TestStreamEncodeBoundedMemory(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const n = 1 << 21
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	base := heap()
+	fw, err := flate.NewWriter(io.Discard, flate.BestSpeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flateBytes := heap() - base
+	runtime.KeepAlive(fw)
+	fw = nil
+
+	base = heap()
+	sw, err := NewStreamWriter(io.Discard, "stream", mkAreas(), StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peak, period uint64
+	for i := 0; i < n; i++ {
+		rec := mkRecord(i, period)
+		period = rec.Period
+		if err := sw.Write(rec); err != nil {
+			t.Fatal(err)
+		}
+		if i%(1<<18) == 1<<18-1 {
+			peak = max(peak, heap())
+		}
+	}
+	if err := sw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if sw.Count() != n {
+		t.Fatalf("wrote %d of %d records", sw.Count(), n)
+	}
+	growth := peak - base
+	slots := uint64(runtime.GOMAXPROCS(0) + 1)
+	slotBytes := flateBytes + 4*7*DefaultChunkRecords
+	t.Logf("encode: peak live heap growth %d KiB over %d records (%d slots of at most %d KiB)",
+		growth/1024, n, slots, slotBytes/1024)
+	if bound := slots * slotBytes; growth > bound {
+		t.Fatalf("encoding held %d B live, more than %d B for %d ring slots", growth, bound, slots)
+	}
+	runtime.KeepAlive(sw)
 }

@@ -16,6 +16,15 @@ func (g *Graph) Degree(v int) int {
 	return int(g.Offsets[v+1] - g.Offsets[v])
 }
 
+// rmatCut returns the integer form of the test rng.Float64() < p on a draw
+// x = rng.Uint64()>>11: Float64 is x/2^53, and for p in [0.5, 1) p·2^53 is
+// an exact integer, so the test holds exactly when x < rmatCut(p).
+func rmatCut(p float64) uint64 { return uint64(p * (1 << 53)) }
+
+// R-MAT quadrant probabilities (a,b,c,d) = (0.57,0.19,0.19,0.05) as
+// cumulative cuts on the 53-bit draw.
+var rmatCutA, rmatCutB, rmatCutC = rmatCut(0.57), rmatCut(0.76), rmatCut(0.95)
+
 // GenRMAT builds a scale-free directed graph with n vertices and about
 // degree*n edges using an R-MAT style recursive partitioning (the Graph500
 // generator family; GAP's Kronecker inputs have the same skew). The result
@@ -23,7 +32,6 @@ func (g *Graph) Degree(v int) int {
 func GenRMAT(n, degree int, seed uint64) *Graph {
 	rng := sim.NewRNG(seed)
 	m := n * degree
-	// R-MAT probabilities (a,b,c,d) = (0.57,0.19,0.19,0.05).
 	srcs := make([]uint32, m)
 	dsts := make([]uint32, m)
 	bits := 0
@@ -31,26 +39,22 @@ func GenRMAT(n, degree int, seed uint64) *Graph {
 		bits++
 	}
 	for e := 0; e < m; e++ {
-		var u, v int
+		var u, v uint64
 		for b := 0; b < bits; b++ {
-			r := rng.Float64()
-			switch {
-			case r < 0.57:
-				// quadrant a: (0,0)
-			case r < 0.76:
-				v |= 1 << b
-			case r < 0.95:
-				u |= 1 << b
-			default:
-				u |= 1 << b
-				v |= 1 << b
-			}
+			// The number of cuts the draw reaches picks the quadrant
+			// without a data-dependent branch: 0 = a (0,0), 1 = b (0,1),
+			// 2 = c (1,0), 3 = d (1,1). Each (x-cut)>>63 is 1 below the
+			// cut, since both are under 2^53.
+			x := rng.Uint64() >> 11
+			q := 3 - (x-rmatCutA)>>63 - (x-rmatCutB)>>63 - (x-rmatCutC)>>63
+			u |= q >> 1 << b
+			v |= (q & 1) << b
 		}
-		if u >= n {
-			u %= n
+		if u >= uint64(n) {
+			u %= uint64(n)
 		}
-		if v >= n {
-			v %= n
+		if v >= uint64(n) {
+			v %= uint64(n)
 		}
 		srcs[e], dsts[e] = uint32(u), uint32(v)
 	}

@@ -37,7 +37,11 @@ type Recorder struct {
 }
 
 // NewRecorder starts a trace for the named benchmark. limit caps the
-// record count (the paper traces 10,000,000 operations per benchmark).
+// record count (the paper traces 10,000,000 operations per benchmark) and
+// sizes the record array: a materialized recorder allocates it once, at
+// limit records, when it records its first access. Every workload records
+// until Full, so the array is never re-grown or left over-sized; with
+// limit 0 (unlimited) it grows by appending.
 func NewRecorder(benchmark string, limit int) *Recorder {
 	return &Recorder{img: trace.Image{Benchmark: benchmark}, limit: limit}
 }
@@ -107,6 +111,9 @@ func (r *Recorder) record(area int, off uint64, op trace.Op, size uint32) {
 		}
 		r.count++
 		return
+	}
+	if r.img.Records == nil {
+		r.img.Records = make([]trace.Record, 0, r.limit)
 	}
 	r.img.Records = append(r.img.Records, rec)
 	r.count++

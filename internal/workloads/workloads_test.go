@@ -229,6 +229,15 @@ func BenchmarkPageRankTraceGen(b *testing.B) {
 	}
 }
 
+// BenchmarkGenRMAT builds the paper-scale R-MAT graph behind Gapbs_pr.
+func BenchmarkGenRMAT(b *testing.B) {
+	cfg := DefaultPageRank()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		GenRMAT(cfg.Vertices, cfg.Degree, cfg.Seed)
+	}
+}
+
 func BenchmarkTraceEncode(b *testing.B) {
 	img, _ := YCSB(SmallYCSB())
 	b.ResetTimer()
