@@ -35,6 +35,10 @@ type Options struct {
 	// Shards fixed when diffing reports (kindle-benchdiff refuses mixed
 	// shard counts without -normalize-env).
 	Shards int
+
+	// images, set only by RunAll, shares each Table II trace image among
+	// the suite's experiments.
+	images *imageCache
 }
 
 func (o Options) scale() float64 {

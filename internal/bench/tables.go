@@ -191,7 +191,8 @@ func (r *Results) CheckShapes() error {
 // line per completed experiment; with parallel workers the completion order
 // varies, but the assembled Results are identical to a sequential run
 // (every experiment writes its own slot, and each simulation owns its
-// machine).
+// machine). Each Table II trace image is generated once and shared
+// read-only by the experiments that use it, until RunAll returns.
 func RunAll(opt Options, progress func(string)) (*Results, error) {
 	var mu sync.Mutex
 	note := func(s string) {
@@ -203,6 +204,7 @@ func RunAll(opt Options, progress func(string)) (*Results, error) {
 		mu.Unlock()
 	}
 	res := &Results{}
+	opt.images = &imageCache{entries: map[string]*cachedImage{}}
 	tasks := []struct {
 		name string
 		run  func() error
