@@ -5,8 +5,8 @@
 //
 // Usage:
 //
-//	kindle-prep -benchmark Ycsb_mem -out ./images [-small] [-maps] [-format v2]
-//	kindle-prep -convert images/Ycsb_mem.img -format v2 -o images/Ycsb_mem.v2.img
+//	kindle-prep -benchmark Ycsb_mem -out ./images [-small] [-maps] [-format v1]
+//	kindle-prep -convert images/Ycsb_mem.img -format v1 -o images/Ycsb_mem.v1.img
 package main
 
 import (
@@ -23,7 +23,7 @@ func main() {
 	small := flag.Bool("small", false, "use the reduced test-scale configuration")
 	maps := flag.Bool("maps", false, "print the captured /proc-style maps layout")
 	list := flag.Bool("list", false, "list available benchmarks")
-	format := flag.String("format", prep.FormatV1, "disk-image format: v1 (flat) or v2 (chunked+compressed, streamed)")
+	format := flag.String("format", prep.FormatV2, "disk-image format: v2 (chunked+compressed, streamed) or v1 (flat)")
 	convert := flag.String("convert", "", "convert an existing image to -format instead of tracing")
 	convOut := flag.String("o", "", "output path for -convert")
 	flag.Parse()

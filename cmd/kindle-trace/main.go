@@ -7,7 +7,7 @@
 //
 //	kindle-trace -in images/Ycsb_mem.img -summary
 //	kindle-trace -in images/Ycsb_mem.img -out trace.txt            # bin → text
-//	kindle-trace -in trace.txt -text-in -out images/custom.img     # text → bin
+//	kindle-trace -in trace.txt -text-in -text-out=false -out images/custom.img  # text → bin (v2; -format v1 for flat)
 package main
 
 import (
@@ -23,7 +23,7 @@ func main() {
 	out := flag.String("out", "", "output trace file (extension-independent; format by flags)")
 	textIn := flag.Bool("text-in", false, "input is the text format (default: binary)")
 	textOut := flag.Bool("text-out", true, "output in the text format (false: binary)")
-	format := flag.String("format", "v1", "binary output format: v1 (flat) or v2 (chunked+compressed)")
+	format := flag.String("format", "v2", "binary output format: v2 (chunked+compressed) or v1 (flat)")
 	summary := flag.Bool("summary", false, "print a summary of the trace")
 	flag.Parse()
 

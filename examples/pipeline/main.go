@@ -29,9 +29,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	r, w := res.Image.Mix()
 	fmt.Printf("preparation: traced %s — %d records, %.0f%%/%.0f%% r/w\n",
-		res.Image.Benchmark, len(res.Image.Records), r, w)
+		res.Image.Benchmark, res.Records, res.ReadPct, res.WritePct)
 	fmt.Println("\ncaptured layout (/proc maps + SniP per-thread stacks):")
 	for _, line := range strings.Split(strings.TrimSpace(res.MapsText), "\n") {
 		fmt.Println("  " + line)

@@ -44,8 +44,10 @@ const (
 // Result is everything the preparation run produces.
 type Result struct {
 	// Image holds the captured trace. When the driver streamed the
-	// records straight to disk (Format "v2" with OutDir set) it carries
-	// the header only — benchmark and area table, no records.
+	// records straight to disk (Format "v2", the default, with OutDir
+	// set) it carries the header only — benchmark and area table, no
+	// records; Records, ReadPct and WritePct summarize the trace either
+	// way.
 	Image        *trace.Image
 	MapsText     string // /proc/pid/maps-style capture
 	TemplateCode string // generated gemOS replay template
@@ -64,10 +66,11 @@ type Driver struct {
 	OutDir string
 	// Small selects the reduced test-scale workload configurations.
 	Small bool
-	// Format selects the disk-image format: FormatV1 (default) or
-	// FormatV2. With FormatV2 and OutDir set, records stream from the
+	// Format selects the disk-image format: FormatV2 (default) or
+	// FormatV1. With FormatV2 and OutDir set, records stream from the
 	// instrumented workload straight to the compressed image — the trace
-	// is never materialized in memory.
+	// is never materialized in memory, and the image carries the chunk
+	// index sharded replay needs.
 	Format string
 }
 
@@ -75,7 +78,7 @@ type Driver struct {
 func (d *Driver) Run(benchmark string) (*Result, error) {
 	format := d.Format
 	if format == "" {
-		format = FormatV1
+		format = FormatV2
 	}
 	if format != FormatV1 && format != FormatV2 {
 		return nil, fmt.Errorf("prep: unknown image format %q (want %q or %q)", format, FormatV1, FormatV2)

@@ -80,7 +80,7 @@ func TestTemplateCode(t *testing.T) {
 
 func TestImageFileRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	d := &Driver{Small: true, OutDir: dir}
+	d := &Driver{Small: true, OutDir: dir, Format: FormatV1}
 	res, err := d.Run(BenchYCSB)
 	if err != nil {
 		t.Fatal(err)
@@ -100,12 +100,13 @@ func TestImageFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDriverStreamsV2 runs the driver in streaming mode: records must flow
-// straight to the compressed on-disk image, never materializing, and the
-// image must decode to exactly what a materialized run produces.
+// TestDriverStreamsV2 runs the driver in its default streaming mode:
+// records must flow straight to the compressed on-disk image, never
+// materializing, and the image must decode to exactly what a materialized
+// run produces.
 func TestDriverStreamsV2(t *testing.T) {
 	dir := t.TempDir()
-	d := &Driver{OutDir: dir, Small: true, Format: FormatV2}
+	d := &Driver{OutDir: dir, Small: true}
 	res, err := d.Run(BenchYCSB)
 	if err != nil {
 		t.Fatal(err)
@@ -142,10 +143,10 @@ func TestDriverStreamsV2(t *testing.T) {
 func TestDriverV2SmallerOnDisk(t *testing.T) {
 	dirV1 := t.TempDir()
 	dirV2 := t.TempDir()
-	if _, err := (&Driver{OutDir: dirV1, Small: true}).Run(BenchYCSB); err != nil {
+	if _, err := (&Driver{OutDir: dirV1, Small: true, Format: FormatV1}).Run(BenchYCSB); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Driver{OutDir: dirV2, Small: true, Format: FormatV2}).Run(BenchYCSB); err != nil {
+	if _, err := (&Driver{OutDir: dirV2, Small: true}).Run(BenchYCSB); err != nil {
 		t.Fatal(err)
 	}
 	s1 := fileSize(t, filepath.Join(dirV1, BenchYCSB+".img"))
@@ -167,7 +168,7 @@ func fileSize(t *testing.T, path string) int64 {
 // TestConvertImage round-trips v1 → v2 → v1 through the converter.
 func TestConvertImage(t *testing.T) {
 	dir := t.TempDir()
-	res, err := (&Driver{OutDir: dir, Small: true}).Run(BenchYCSB)
+	res, err := (&Driver{OutDir: dir, Small: true, Format: FormatV1}).Run(BenchYCSB)
 	if err != nil {
 		t.Fatal(err)
 	}
