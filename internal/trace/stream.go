@@ -785,7 +785,7 @@ type StreamWriter struct {
 	index      []chunkIndexEntry
 	total      int
 	writes     int
-	scratch    [4 + 5*binary.MaxVarintLen64]byte
+	scratch    [4*binary.MaxVarintLen64 + 1]byte // a frame header: four varints and the codec
 	closed     bool
 	err        error // first failed write to w; sticky
 }
@@ -876,7 +876,8 @@ func (sw *StreamWriter) putU32(v uint32) error {
 }
 
 func (sw *StreamWriter) putUvarint(v uint64) error {
-	_, err := sw.bw.Write(binary.AppendUvarint(sw.scratch[:0], v))
+	n := binary.PutUvarint(sw.scratch[:], v)
+	_, err := sw.bw.Write(sw.scratch[:n])
 	return err
 }
 
@@ -1042,29 +1043,31 @@ func (sw *StreamWriter) Close() error {
 			return err
 		}
 	}
-	footer := binary.AppendUvarint(nil, uint64(len(sw.index)))
+	if err := sw.putUvarint(0); err != nil {
+		return err
+	}
+	var footer bytes.Buffer
+	var tmp [binary.MaxVarintLen64]byte
+	put := func(v uint64) {
+		n := binary.PutUvarint(tmp[:], v)
+		footer.Write(tmp[:n])
+	}
+	put(uint64(len(sw.index)))
 	for _, e := range sw.index {
-		footer = binary.AppendUvarint(footer, e.records)
-		footer = binary.AppendUvarint(footer, e.diskBytes)
+		put(e.records)
+		put(e.diskBytes)
 	}
-	footer = binary.AppendUvarint(footer, uint64(sw.total))
-	err := sw.putUvarint(0)
-	if err == nil {
-		_, err = sw.bw.Write(footer)
+	put(uint64(sw.total))
+	if _, err := sw.bw.Write(footer.Bytes()); err != nil {
+		return err
 	}
-	if err == nil {
-		err = sw.putU32(uint32(len(footer)))
+	if err := sw.putU32(uint32(footer.Len())); err != nil {
+		return err
 	}
-	if err == nil {
-		err = sw.putU32(footerMagic)
+	if err := sw.putU32(footerMagic); err != nil {
+		return err
 	}
-	if err == nil {
-		err = sw.bw.Flush()
-	}
-	if err != nil {
-		return sw.fail(err)
-	}
-	return nil
+	return sw.bw.Flush()
 }
 
 // Count returns the records written so far.

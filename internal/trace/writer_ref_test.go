@@ -294,7 +294,7 @@ func writerProgram(data []byte) (opt StreamOptions, failAt uint64, recs []Record
 	}
 	opt = StreamOptions{ChunkRecords: fuzzChunkSizes[at(0)%4], NoCompress: at(0)&4 != 0}
 	failAt = uint64(at(1)) | uint64(at(2))<<8 | uint64(at(3))<<16
-	// One-record chunks start a goroutine per record: keep those
+	// Tiny chunks start a goroutine every record or seven: keep those
 	// programs short.
 	limit := 1 << 17
 	if opt.ChunkRecords == 1 || opt.ChunkRecords == 7 {
