@@ -18,9 +18,9 @@ test:
 # concurrency-sensitive packages at several GOMAXPROCS values, a
 # one-iteration pass over every benchmark so the perf harness can't
 # silently rot, a build-and-smoke of the perfbench module, two bounded
-# commit-point crash sweeps, a short fuzz of the trace decoders, the NVM
-# pending store, the NVM write buffer, the run loop, the cache level and
-# the TLB, the live-monitor smoke
+# commit-point crash sweeps, a short fuzz of the trace decoders and
+# writer, the NVM pending store, the NVM write buffer, the run loop, the
+# cache level and the TLB, the live-monitor smoke
 # (real kindle binary scraped over HTTP mid-run in replay, resume, traffic
 # and sharded mode), and the CLI checks (kindle's refusal table unit-tested
 # on parseFlags, plus the real-binary identity matrix: -shards 1 vs 4, cold
