@@ -81,7 +81,9 @@ crashsweep:
 # fuzzsmoke runs the checked-in corpus plus 10 seconds of new coverage over
 # each fuzz target: the v1/v2 binary decoders checked against the
 # sequential reference, the chunk-index scan plus range decode (see
-# internal/trace/fuzz_test.go), the ring-buffered v2 writer checked
+# internal/trace/fuzz_test.go), the chunk DEFLATE decoder checked against
+# compress/flate on arbitrary payloads and raw lengths (see
+# internal/trace/inflate_ref_test.go), the ring-buffered v2 writer checked
 # against the serial writer it replaced, byte for byte and under a failing
 # io.Writer (see internal/trace/writer_ref_test.go), the NVM pending store and its word path
 # checked against its map-based reference (see
@@ -97,6 +99,7 @@ crashsweep:
 fuzzsmoke:
 	$(GO) test -run XXX -fuzz '^FuzzDecode$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run XXX -fuzz '^FuzzChunkIndex$$' -fuzztime 10s ./internal/trace
+	$(GO) test -run XXX -fuzz '^FuzzInflate$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run XXX -fuzz '^FuzzStreamWriter$$' -fuzztime 10s ./internal/trace
 	$(GO) test -run XXX -fuzz '^FuzzPersistDomain$$' -fuzztime 10s ./internal/mem
 	$(GO) test -run XXX -fuzz '^FuzzNVMWriteBuffer$$' -fuzztime 10s ./internal/mem
@@ -136,8 +139,9 @@ lint:
 	fi
 
 # profile records CPU and allocation profiles for both replay benchmarks,
-# for a rebuild-scheme checkpoint at persist-churn's 32,768 mapped NVM
-# pages, for persist-churn's mmap/touch/munmap loop and for trace
+# for v2 trace decode (the decode pool and the range decoder of sharded
+# replay), for a rebuild-scheme checkpoint at persist-churn's 32,768 mapped
+# NVM pages, for persist-churn's mmap/touch/munmap loop and for trace
 # preparation (the v2 writer plus the R-MAT generator, merged into one
 # prep profile) under profiles/ (gitignored). See "Recipe: profiling the
 # replay engine" in EXPERIMENTS.md for how to read them.
@@ -147,6 +151,8 @@ profile:
 		-cpuprofile profiles/replay_cpu.prof -memprofile profiles/replay_mem.prof -o profiles/kindle.test .
 	$(GO) test -run XXX -bench '^BenchmarkStreamReplayThroughput$$' -benchtime 2s \
 		-cpuprofile profiles/stream_cpu.prof -memprofile profiles/stream_mem.prof -o profiles/kindle.test .
+	$(GO) test -run XXX -bench '^BenchmarkV2Decode$$' -benchtime 2s \
+		-cpuprofile profiles/decode_cpu.prof -memprofile profiles/decode_mem.prof -o profiles/trace.test ./internal/trace
 	$(GO) test -run XXX -bench '^BenchmarkCheckpointSteadyState$$/^pages=32768$$' -benchtime 2s \
 		-cpuprofile profiles/checkpoint_cpu.prof -memprofile profiles/checkpoint_mem.prof -o profiles/persist.test ./internal/persist
 	$(GO) test -run XXX -bench '^BenchmarkChurnTouch$$' -benchtime 2s \
@@ -157,8 +163,9 @@ profile:
 		-cpuprofile profiles/rmat_cpu.prof -memprofile profiles/rmat_mem.prof -o profiles/workloads.test ./internal/workloads
 	$(GO) tool pprof -proto profiles/encode_cpu.prof profiles/rmat_cpu.prof > profiles/prep_cpu.prof
 	$(GO) tool pprof -proto profiles/encode_mem.prof profiles/rmat_mem.prof > profiles/prep_mem.prof
-	@echo "wrote profiles/{replay,stream,checkpoint,churn,prep}_{cpu,mem}.prof; try:"
+	@echo "wrote profiles/{replay,stream,decode,checkpoint,churn,prep}_{cpu,mem}.prof; try:"
 	@echo "  go tool pprof -top -nodecount 20 profiles/kindle.test profiles/replay_cpu.prof"
+	@echo "  go tool pprof -top -nodecount 20 profiles/trace.test profiles/decode_cpu.prof"
 	@echo "  go tool pprof -top -nodecount 20 profiles/persist.test profiles/checkpoint_cpu.prof"
 	@echo "  go tool pprof -top -nodecount 20 profiles/persist.test profiles/churn_cpu.prof"
 	@echo "  go tool pprof -top -nodecount 20 profiles/prep_cpu.prof"

@@ -3,7 +3,7 @@ package kindle_test
 // Zero-allocation guards for the replay fast path and the checkpoint. The
 // perf work in the replay engine (pooled TLB entries, recency-ordered cache
 // and TLB sets, pooled persist-domain buffers, recycled stream chunk
-// buffers) and in persistence bookkeeping (a truncated change log, no
+// buffers and range decoders) and in persistence bookkeeping (a truncated change log, no
 // per-page maps) holds only if the steady state stays allocation-free — a
 // single escaping value on the per-record path costs more than the
 // optimizations save. These tests pin that property in CI (`make
@@ -13,6 +13,9 @@ package kindle_test
 
 import (
 	"bytes"
+	"io"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -190,6 +193,71 @@ func TestStreamNextZeroAllocPipelined(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("steady-state pipelined decode allocates %.1f times per chunk, want 0", avg)
+	}
+}
+
+// TestRangeReopenZeroAlloc: a range source hands its decode state — the
+// buffered reader, the disk, raw and record buffers and the inflater's
+// tables — to the next range opened, so a sharded-replay worker allocates
+// it once, not once per segment. After one warm OpenRange/drain/Close
+// cycle, each further cycle over the same four chunks may allocate only
+// the source itself. The image is the small PageRank trace in 4,096-record
+// chunks (its v2 bytes are pinned by TestGeneratorGolden): every chunk's
+// dynamic block carries literal/length codes of 12 to 14 bits and distance
+// codes of 9 or 10, so both second-level tables are built and used.
+func TestRangeReopenZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const chunkRecs = 4096
+	img, err := workloads.PageRank(workloads.SmallPageRank())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := trace.EncodeV2(&buf, img, trace.StreamOptions{ChunkRecords: chunkRecs}); err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(buf.Bytes())
+	ix, err := trace.ScanChunkIndex(rd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		src, err := ix.OpenRange(rd, 2, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for {
+			batch, err := src.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			n += len(batch)
+		}
+		if err := src.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n != 4*chunkRecs {
+			t.Fatalf("range decoded %d records, want %d", n, 4*chunkRecs)
+		}
+	}
+	// A collection may drop the pooled state; none runs while measuring.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cycle() // warm-up: allocate the decode state
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if perCycle := (after.TotalAlloc - before.TotalAlloc) / runs; perCycle > 4<<10 {
+		t.Fatalf("reopening a warm range allocates %d B per cycle, want at most 4 KiB", perCycle)
 	}
 }
 

@@ -1,8 +1,10 @@
 package trace
 
 import (
+	"bufio"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Chunk-range access: sharded replay partitions a v2 image by chunk, so it
@@ -102,7 +104,9 @@ func (ix *ChunkIndex) RangeTotal(lo, hi int) int {
 // source seeks it and owns its position until Close, which does not close
 // rs. The source decodes synchronously on the caller's goroutine —
 // sharded replay gets its concurrency from running many ranges at once,
-// not from a decode pool inside each one.
+// not from a decode pool inside each one. Close hands the source's decode
+// buffers to the next range opened, so a worker replaying range after
+// range allocates them once.
 func (ix *ChunkIndex) OpenRange(rs io.ReadSeeker, lo, hi int) (RecordSource, error) {
 	if lo < 0 || hi > len(ix.Chunks) || lo > hi {
 		return nil, fmt.Errorf("trace: chunk range [%d, %d) outside image of %d chunks", lo, hi, len(ix.Chunks))
@@ -112,10 +116,9 @@ func (ix *ChunkIndex) OpenRange(rs io.ReadSeeker, lo, hi int) (RecordSource, err
 		if _, err := rs.Seek(ix.Chunks[lo].Offset, io.SeekStart); err != nil {
 			return nil, fmt.Errorf("trace: seeking to chunk %d: %w", lo, err)
 		}
-		s.c = newCountingReader(rs)
-		s.c.off = ix.Chunks[lo].Offset
+		s.st = rangeStates.Get().(*rangeState)
+		s.st.reset(rs, ix.Chunks[lo].Offset, len(ix.Areas))
 		s.lastPeriod = ix.Chunks[lo].BasePeriod
-		s.lastOffs = make([]uint64, len(ix.Areas))
 		for _, ref := range ix.Chunks[:lo] {
 			s.recBase += ref.Records
 		}
@@ -123,57 +126,92 @@ func (ix *ChunkIndex) OpenRange(rs io.ReadSeeker, lo, hi int) (RecordSource, err
 	return s, nil
 }
 
+// rangeState is a range source's decode state: the buffered reader, the
+// disk, raw and record buffers and the inflater. Each grows to the largest
+// chunk it has seen and is recycled through rangeStates.
+type rangeState struct {
+	c        countingReader
+	disk     []byte
+	dec      chunkDecoder
+	lastOffs []uint64
+	recs     []Record
+}
+
+var rangeStates = sync.Pool{New: func() any { return new(rangeState) }}
+
+// reset points the state at rs, positioned at file offset off, for an
+// image of nAreas areas.
+func (st *rangeState) reset(rs io.Reader, off int64, nAreas int) {
+	if st.c.r == nil {
+		st.c.r = bufio.NewReaderSize(rs, 1<<16)
+	} else {
+		st.c.r.Reset(rs)
+	}
+	st.c.off = off
+	if cap(st.lastOffs) < nAreas {
+		st.lastOffs = make([]uint64, nAreas)
+	}
+	st.lastOffs = st.lastOffs[:nAreas]
+}
+
 // v2RangeSource decodes one chunk per Next call from a seekable v2 image,
-// reusing one record buffer; the batch is valid until the following Next,
-// per the RecordSource contract.
+// reusing its state's record buffer; the batch is valid until the
+// following Next or Close, per the RecordSource contract.
 type v2RangeSource struct {
 	ix       *ChunkIndex
-	c        *countingReader
+	st       *rangeState // nil for an empty range and after Close
 	next, hi int
 	total    int
 	recBase  int
 
-	disk       []byte
-	dec        chunkDecoder
-	lastOffs   []uint64
-	buf        []Record
 	lastPeriod uint64
 }
 
 func (s *v2RangeSource) Benchmark() string { return s.ix.Benchmark }
 func (s *v2RangeSource) Areas() []Area     { return s.ix.Areas }
 func (s *v2RangeSource) Total() int        { return s.total }
-func (s *v2RangeSource) Close() error      { return nil }
+
+// Close returns the decode state for reuse; Next then reports io.EOF.
+func (s *v2RangeSource) Close() error {
+	if s.st != nil {
+		s.st.c.r.Reset(nil) // do not pin the caller's reader
+		rangeStates.Put(s.st)
+		s.st = nil
+	}
+	s.next = s.hi
+	return nil
+}
 
 func (s *v2RangeSource) Next() ([]Record, error) {
 	if s.next >= s.hi {
 		return nil, io.EOF
 	}
-	f, err := readChunkFrame(s.c)
+	st := s.st
+	f, err := readChunkFrame(&st.c)
 	if err != nil {
 		return nil, err
 	}
 	if f.terminator {
 		return nil, fmt.Errorf("trace: offset %d: stream terminates inside chunk range [%d, %d): %w",
-			s.c.off, s.next, s.hi, ErrCorrupt)
+			st.c.off, s.next, s.hi, ErrCorrupt)
 	}
 	if f.basePeriod < s.lastPeriod {
 		return nil, errBasePeriodBackwards(f, s.lastPeriod)
 	}
-	if s.disk, err = readDisk(s.c, f, s.disk); err != nil {
+	if st.disk, err = readDisk(&st.c, f, st.disk); err != nil {
 		return nil, err
 	}
-	payload, err := s.dec.inflatePayload(f, s.disk)
+	payload, err := st.dec.inflatePayload(f, st.disk)
 	if err != nil {
 		return nil, err
 	}
-	clear(s.lastOffs)
+	clear(st.lastOffs)
 	recs, last, err := decodeChunkPayload(payload, int(f.count), f.basePeriod,
-		s.ix.Areas, s.lastOffs, s.buf, s.recBase, f.payloadStart)
+		s.ix.Areas, st.lastOffs, st.recs, s.recBase, f.payloadStart)
 	if err != nil {
 		return nil, err
 	}
-	s.buf = recs
+	st.recs = recs
 	s.lastPeriod = last
 	s.recBase += int(f.count)
 	s.next++

@@ -270,7 +270,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/decode_er
 // of ScanChunkIndex followed by an OpenRange over the whole index — the
 // exact error text, or the record count. Regenerate with
 //
-//	go test -run TestDecodeErrorsGolden -update-golden ./internal/trace
+//	go test ./internal/trace -run TestDecodeErrorsGolden -update-golden
 func TestDecodeErrorsGolden(t *testing.T) {
 	var b strings.Builder
 	for _, target := range []string{"FuzzDecode", "FuzzChunkIndex"} {

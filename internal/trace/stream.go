@@ -75,11 +75,11 @@ type RecordSink interface {
 }
 
 // RecordSource is a streamed trace: the header up front, records in
-// batches. Next returns the next batch, valid only until the following
-// Next call, and io.EOF after the last one. Total is the record count when
-// known (materialized images, v1 streams, seekable v2 streams) and -1
-// otherwise. Close releases the decoder; it never closes the underlying
-// reader.
+// batches. Next returns the next batch and io.EOF after the last one. A
+// batch is valid only until the next Next or Close call: the source reuses
+// its memory. Total is the record count when known (materialized images,
+// v1 streams, seekable v2 streams) and -1 otherwise. Close releases the
+// decoder; it never closes the underlying reader.
 type RecordSource interface {
 	Benchmark() string
 	Areas() []Area
@@ -549,15 +549,13 @@ func readDisk(c *countingReader, f chunkFrame, buf []byte) ([]byte, error) {
 }
 
 // chunkDecoder holds the reusable per-decoder inflate state: the raw buffer
-// grows to the largest chunk and stays there, the inflater and its
-// bytes.Reader reset in place, and the overrun scratch byte is hoisted, so
-// the steady-state chunk loop performs no heap allocation at all (the
-// zero-alloc CI guards pin this). Each concurrent decoder owns one.
+// grows to the largest chunk and stays there, and the inflater rebuilds its
+// tables in place, so the steady-state chunk loop performs no heap
+// allocation at all (the zero-alloc CI guards pin this). Each concurrent
+// decoder owns one.
 type chunkDecoder struct {
-	raw     []byte
-	inflate io.ReadCloser
-	diskRd  bytes.Reader
-	overrun [1]byte
+	raw []byte
+	inf inflater
 }
 
 // inflatePayload turns a frame's on-disk payload bytes into the raw chunk
@@ -571,17 +569,11 @@ func (d *chunkDecoder) inflatePayload(f chunkFrame, disk []byte) ([]byte, error)
 		d.raw = make([]byte, f.rawLen)
 	}
 	d.raw = d.raw[:f.rawLen]
-	d.diskRd.Reset(disk)
-	if d.inflate == nil {
-		d.inflate = flate.NewReader(&d.diskRd)
-	} else if err := d.inflate.(flate.Resetter).Reset(&d.diskRd, nil); err != nil {
-		return nil, fmt.Errorf("trace: offset %d: resetting inflater: %w", f.payloadStart, err)
-	}
-	if _, err := io.ReadFull(d.inflate, d.raw); err != nil {
-		return nil, fmt.Errorf("trace: offset %d: inflating chunk: %w: %w", f.payloadStart, err, ErrCorrupt)
-	}
-	if n, _ := d.inflate.Read(d.overrun[:]); n != 0 {
+	switch err := d.inf.inflate(d.raw, disk); {
+	case err == errInflateOverrun:
 		return nil, fmt.Errorf("trace: offset %d: chunk inflates past its declared %d bytes: %w", f.payloadStart, f.rawLen, ErrCorrupt)
+	case err != nil:
+		return nil, fmt.Errorf("trace: offset %d: inflating chunk: %w: %w", f.payloadStart, err, ErrCorrupt)
 	}
 	return d.raw, nil
 }
@@ -631,13 +623,6 @@ func checkStreamFooter(c *countingReader, seen []chunkIndexEntry, totalRecs int)
 	return io.EOF
 }
 
-// decodeChunkPayload decodes count records from one chunk's raw payload
-// into buf (grown as needed), returning the record slice and the last
-// period. lastOff must hold one zeroed slot per area; recBase and fileOff
-// only feed error messages. The varint loop is hand-rolled: this is the
-// replay pipeline's decode hot path, and one-byte varints (the common case
-// for period deltas, tags and sizes) must not pay binary.Uvarint's full
-// loop or a closure call per field.
 // chunkFieldErr reports a malformed varint field. It is a plain function
 // rather than a closure so the decode loop's byte cursor stays in a
 // register instead of being spilled for capture.
@@ -646,6 +631,13 @@ func chunkFieldErr(fileOff int64, rec int, what string, pos int) error {
 		fileOff, rec, what, pos, ErrCorrupt)
 }
 
+// decodeChunkPayload decodes count records from one chunk's raw payload
+// into buf (grown as needed), returning the record slice and the last
+// period. lastOff must hold one zeroed slot per area; recBase and fileOff
+// only feed error messages. The varint loop is hand-rolled: this is the
+// replay pipeline's decode hot path, and one-byte varints (the common case
+// for period deltas, tags and sizes) must not pay binary.Uvarint's full
+// loop or a closure call per field.
 func decodeChunkPayload(payload []byte, count int, basePeriod uint64, areas []Area, lastOff []uint64, buf []Record, recBase int, fileOff int64) ([]Record, uint64, error) {
 	if cap(buf) < count {
 		buf = make([]Record, count)

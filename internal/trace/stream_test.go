@@ -527,23 +527,39 @@ func TestV2OffsetDeltaWrap(t *testing.T) {
 	sameRecords(t, got.Records, img.Records)
 }
 
+// BenchmarkV2Decode measures decoding a 200,000-record image: through the
+// decode pool (OpenStream) with DEFLATE and raw chunks, and through one
+// OpenRange over every chunk of a once-scanned index — the path each
+// sharded-replay segment takes.
 func BenchmarkV2Decode(b *testing.B) {
 	img := mkImage(200_000)
 	for _, tc := range []struct {
-		name string
-		opt  StreamOptions
+		name    string
+		opt     StreamOptions
+		inRange bool
 	}{
-		{"flate", StreamOptions{}},
-		{"raw", StreamOptions{NoCompress: true}},
+		{"flate", StreamOptions{}, false},
+		{"raw", StreamOptions{NoCompress: true}, false},
+		{"range", StreamOptions{}, true},
 	} {
 		var buf bytes.Buffer
 		if err := EncodeV2(&buf, img, tc.opt); err != nil {
 			b.Fatal(err)
 		}
+		open := func() (RecordSource, error) { return OpenStream(bytes.NewReader(buf.Bytes())) }
+		if tc.inRange {
+			rd := bytes.NewReader(buf.Bytes())
+			ix, err := ScanChunkIndex(rd)
+			if err != nil {
+				b.Fatal(err)
+			}
+			open = func() (RecordSource, error) { return ix.OpenRange(rd, 0, len(ix.Chunks)) }
+		}
 		b.Run(fmt.Sprintf("%s_%.1fB/rec", tc.name, float64(buf.Len())/float64(len(img.Records))), func(b *testing.B) {
+			b.ReportAllocs()
 			b.SetBytes(int64(len(img.Records)))
 			for i := 0; i < b.N; i++ {
-				src, err := OpenStream(bytes.NewReader(buf.Bytes()))
+				src, err := open()
 				if err != nil {
 					b.Fatal(err)
 				}
