@@ -13,6 +13,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"kindle/internal/trace"
@@ -35,6 +36,15 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if !*textIn && *out == "" {
+		// Summary only: stream the records instead of materializing them.
+		err := summarize(os.Stdout, f)
+		f.Close()
+		if err != nil {
+			fatal(err)
+		}
+		return
+	}
 	var img *trace.Image
 	if *textIn {
 		img, err = trace.DecodeText(f)
@@ -47,17 +57,13 @@ func main() {
 	}
 
 	if *summary || *out == "" {
-		r, w := img.Mix()
-		fmt.Printf("benchmark: %s\n", img.Benchmark)
-		fmt.Printf("records:   %d (%.1f%% read / %.1f%% write)\n", len(img.Records), r, w)
-		fmt.Printf("footprint: %d KiB in %d areas\n", img.Footprint()/1024, len(img.Areas))
-		for i, a := range img.Areas {
-			kind := "DRAM"
-			if a.NVM {
-				kind = "NVM"
+		writes := 0
+		for _, rec := range img.Records {
+			if rec.Op == trace.Write {
+				writes++
 			}
-			fmt.Printf("  area %2d: %-16s %8d KiB  %s\n", i, a.Name, a.Size/1024, kind)
 		}
+		printSummary(os.Stdout, img.Benchmark, img.Areas, len(img.Records), writes)
 	}
 	if *out == "" {
 		return
@@ -81,6 +87,63 @@ func main() {
 		fatal(err)
 	}
 	fmt.Println("written:", *out)
+}
+
+// summarize streams a binary image of either format and prints its
+// summary, keeping only running counts. It checks each record as
+// trace.Decode does, so a trace that Decode rejects fails with the same
+// error, and nothing is printed unless the whole trace is valid.
+func summarize(w io.Writer, r io.Reader) error {
+	src, err := trace.OpenStream(r)
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	areas := src.Areas()
+	var n, writes int
+	var last uint64
+	for {
+		batch, err := src.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return err
+		}
+		for _, rec := range batch {
+			if err := trace.ValidateRecord(rec, areas, last, n); err != nil {
+				return err
+			}
+			last = rec.Period
+			n++
+			if rec.Op == trace.Write {
+				writes++
+			}
+		}
+	}
+	printSummary(w, src.Benchmark(), areas, n, writes)
+	return nil
+}
+
+// printSummary prints the record count, the read/write mix (as
+// trace.Image.Mix computes it) and the area table.
+func printSummary(w io.Writer, benchmark string, areas []trace.Area, records, writes int) {
+	var readPct, writePct float64
+	if records > 0 {
+		writePct = 100 * float64(writes) / float64(records)
+		readPct = 100 - writePct
+	}
+	footprint := (&trace.Image{Areas: areas}).Footprint()
+	fmt.Fprintf(w, "benchmark: %s\n", benchmark)
+	fmt.Fprintf(w, "records:   %d (%.1f%% read / %.1f%% write)\n", records, readPct, writePct)
+	fmt.Fprintf(w, "footprint: %d KiB in %d areas\n", footprint/1024, len(areas))
+	for i, a := range areas {
+		kind := "DRAM"
+		if a.NVM {
+			kind = "NVM"
+		}
+		fmt.Fprintf(w, "  area %2d: %-16s %8d KiB  %s\n", i, a.Name, a.Size/1024, kind)
+	}
 }
 
 func fatal(err error) {

@@ -109,9 +109,11 @@ func ValidateHeader(benchmark string, areas []Area) error {
 	return nil
 }
 
-// validateRecord checks one record against the area table. index is the
-// record's position in the stream, used only for the error text.
-func validateRecord(rec Record, areas []Area, lastPeriod uint64, index int) error {
+// ValidateRecord checks one record against the area table and the period
+// of the record before it (0 for the first), as Image.Validate does for
+// each record. index is the record's position in the trace, used only for
+// the error text.
+func ValidateRecord(rec Record, areas []Area, lastPeriod uint64, index int) error {
 	if int(rec.Area) >= len(areas) {
 		return fmt.Errorf("trace: record %d references area %d of %d: %w", index, rec.Area, len(areas), ErrCorrupt)
 	}
@@ -426,7 +428,7 @@ func (s *v1Source) Next() ([]Record, error) {
 	c := s.c
 	// Field labels are static: formatting the record index into every
 	// context string allocated four strings per record on the happy path.
-	// The error's byte offset (and validateRecord's index) still localize
+	// The error's byte offset (and ValidateRecord's index) still localize
 	// any failure.
 	for i := range batch {
 		idx := s.read + i
@@ -454,7 +456,7 @@ func (s *v1Source) Next() ([]Record, error) {
 			return nil, err
 		}
 		batch[i].Area = uint32(ar)
-		if err := validateRecord(batch[i], s.h.areas, s.lastPeriod, idx); err != nil {
+		if err := ValidateRecord(batch[i], s.h.areas, s.lastPeriod, idx); err != nil {
 			return nil, err
 		}
 	}
@@ -935,10 +937,10 @@ func (sw *StreamWriter) Write(rec Record) error {
 		return sw.err
 	}
 	// The happy path is a handful of inline branches; only a bad record
-	// drops to validateRecord for the precise error text.
+	// drops to ValidateRecord for the precise error text.
 	if end := rec.Offset + uint64(rec.Size); int(rec.Area) >= len(sw.areas) || rec.Size == 0 ||
 		rec.Period < sw.lastPeriod || rec.Op > Write || end > sw.areas[rec.Area].Size || end < rec.Offset {
-		return validateRecord(rec, sw.areas, sw.lastPeriod, sw.total)
+		return ValidateRecord(rec, sw.areas, sw.lastPeriod, sw.total)
 	}
 	s := &sw.ring[sw.open]
 	p := appendUvarint(s.payload, rec.Period-sw.lastPeriod)

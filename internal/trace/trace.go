@@ -81,7 +81,7 @@ func (img *Image) Validate() error {
 	}
 	// The record loop runs once per image over the whole trace, so the
 	// happy path is a handful of branches inline; only a failing record
-	// drops to validateRecord for the precise error text.
+	// drops to ValidateRecord for the precise error text.
 	areas := img.Areas
 	var lastPeriod uint64
 	for i := range img.Records {
@@ -89,7 +89,7 @@ func (img *Image) Validate() error {
 		end := r.Offset + uint64(r.Size)
 		if int(r.Area) >= len(areas) || r.Size == 0 || r.Period < lastPeriod || r.Op > Write ||
 			end > areas[r.Area].Size || end < r.Offset {
-			return validateRecord(*r, areas, lastPeriod, i)
+			return ValidateRecord(*r, areas, lastPeriod, i)
 		}
 		lastPeriod = r.Period
 	}
