@@ -296,9 +296,10 @@ func (d *inflater) consume(n uint) {
 	d.nb -= n
 }
 
-// corrupt reports malformed input at the decoder's current position.
+// corrupt reports malformed input at the byte holding the decoder's next
+// unread bit.
 func (d *inflater) corrupt(what string) error {
-	return fmt.Errorf("deflate: %s at payload byte %d", what, d.ip-int(d.nb/8))
+	return fmt.Errorf("deflate: %s at payload byte %d", what, (8*d.ip-int(d.nb))/8)
 }
 
 // stored copies a stored block's bytes into out at pos.
