@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"flag"
 	"fmt"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -81,7 +82,13 @@ func deflateSeeds() [][]byte {
 		panic(err)
 	}
 	data := buf.Bytes()
-	payload, rawLen := chunkPayload(data, 1)
+	var payload []byte
+	var rawLen uint64
+	eachChunk(data, func(i int, f chunkFrame, disk []byte) {
+		if i == 1 {
+			payload, rawLen = disk, f.rawLen
+		}
+	})
 	if payload[0]>>1&3 != 2 {
 		panic("chunk 1 does not start with a dynamic-Huffman block")
 	}
@@ -120,32 +127,14 @@ func (w *lsbWriter) bits(v uint64, n uint) {
 	}
 }
 
-func (w *lsbWriter) code(c uint64, n uint) {
-	var r uint64
-	for i := uint(0); i < n; i++ {
-		r |= (c >> i & 1) << (n - 1 - i)
-	}
-	w.bits(r, n)
-}
+func (w *lsbWriter) code(c uint64, n uint) { w.bits(bits.Reverse64(c)>>(64-n), n) }
 
+// flush returns the stream, its last byte padded with zero bits.
 func (w *lsbWriter) flush() []byte {
 	if w.nacc > 0 {
-		w.out = append(w.out, byte(w.acc))
+		return append(w.out, byte(w.acc))
 	}
-	w.acc, w.nacc = 0, 0
 	return w.out
-}
-
-// chunkPayload returns chunk k's on-disk payload and declared raw length.
-func chunkPayload(data []byte, k int) ([]byte, uint64) {
-	var payload []byte
-	var rawLen uint64
-	eachChunk(data, func(i int, f chunkFrame, disk []byte) {
-		if i == k {
-			payload, rawLen = disk, f.rawLen
-		}
-	})
-	return payload, rawLen
 }
 
 // eachChunk calls fn on every chunk of a well-formed v2 image, in order.
