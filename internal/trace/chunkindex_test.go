@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"errors"
+	"io"
 	"testing"
 )
 
@@ -121,4 +122,52 @@ func TestOpenRangeRejectsBadRange(t *testing.T) {
 			t.Fatalf("OpenRange(%d, %d) succeeded", tc[0], tc[1])
 		}
 	}
+}
+
+// TestOpenRangeCloseRecycles: Close hands a range's decode state to the
+// next range opened. A second Close is a no-op, and Next on the closed
+// source reports io.EOF without disturbing the range now using the state.
+func TestOpenRangeCloseRecycles(t *testing.T) {
+	img := mkImage(1000)
+	var buf bytes.Buffer
+	if err := EncodeV2(&buf, img, StreamOptions{ChunkRecords: 64}); err != nil {
+		t.Fatal(err)
+	}
+	data := buf.Bytes()
+	ix, err := ScanChunkIndex(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := ix.OpenRange(bytes.NewReader(data), 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Next(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := first.Close(); err != nil {
+			t.Fatalf("Close %d: %v", i+1, err)
+		}
+	}
+	second, err := ix.OpenRange(bytes.NewReader(data), 2, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	var got []Record
+	for {
+		if _, err := first.Next(); err != io.EOF {
+			t.Fatalf("Next after Close: %v, want io.EOF", err)
+		}
+		batch, err := second.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, batch...)
+	}
+	sameRecords(t, got, img.Records[2*64:6*64])
 }
