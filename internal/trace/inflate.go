@@ -441,7 +441,8 @@ func (d *inflater) huffman(out []byte, pos int, lit, dist *huffTable, minLit uin
 			bad = "invalid literal/length code"
 			break
 		}
-		if n > nb || minLit > nb {
+		// n and minLit are at most 15: one compare clears the common case.
+		if nb < 15 && (n > nb || minLit > nb) {
 			err = io.ErrUnexpectedEOF
 			break
 		}
