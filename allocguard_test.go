@@ -16,6 +16,7 @@ import (
 	"io"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -247,17 +248,22 @@ func TestRangeReopenZeroAlloc(t *testing.T) {
 		}
 	}
 	// A collection may drop the pooled state; none runs while measuring.
+	// A cycle whose goroutine has moved to another P since the last Close
+	// misses the P-local pool entry and allocates afresh, so the guard
+	// takes the median cycle.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cycle() // warm-up: allocate the decode state
-	const runs = 20
+	var per [21]uint64
 	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
+	for i := range per {
+		runtime.ReadMemStats(&before)
 		cycle()
+		runtime.ReadMemStats(&after)
+		per[i] = after.TotalAlloc - before.TotalAlloc
 	}
-	runtime.ReadMemStats(&after)
-	if perCycle := (after.TotalAlloc - before.TotalAlloc) / runs; perCycle > 4<<10 {
-		t.Fatalf("reopening a warm range allocates %d B per cycle, want at most 4 KiB", perCycle)
+	slices.Sort(per[:])
+	if median := per[len(per)/2]; median > 4<<10 {
+		t.Fatalf("reopening a warm range allocates %d B in the median cycle, want at most 4 KiB", median)
 	}
 }
 
