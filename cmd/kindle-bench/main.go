@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	kindle-bench [-scale 1.0] [-parallel N] [-shards N] [-experiment all|tableI|tableII|fig4a|fig4b|tableIII|tableIV|fig5|intervals|image-sizes|hscc|crash-sweep|traffic|extensions] [-check]
+//	kindle-bench [-scale 1.0] [-parallel N] [-experiment all|tableI|tableII|fig4a|fig4b|tableIII|tableIV|fig5|intervals|image-sizes|hscc|crash-sweep|traffic|extensions] [-check]
 //
 // -scale shrinks footprints, trace lengths and intervals proportionally
 // (0.0625 runs the whole suite in about a minute; 1.0 is paper scale).
@@ -15,11 +15,8 @@
 // Xeon VM resuming a snapshot of that prefix was no faster than booting it
 // (grid cell 0.72–0.84 ms resumed, 0.57–0.96 ms cold; shard segment
 // 479–566 µs resumed, 414–471 µs cold). Snapshots serve `kindle
-// -snapshot-in` and the crash sweep, which skip simulated work. -shards
-// routes replay-bearing cells that only need total simulated time through
-// the sharded replay engine (sharded times are only comparable to sharded
-// times — keep the value fixed when diffing reports). -check validates the
-// published shapes after running.
+// -snapshot-in` and the crash sweep, which skip simulated work. -check
+// validates the published shapes after running.
 package main
 
 import (
@@ -65,12 +62,10 @@ func main() {
 	csvPath := flag.String("csv", "", "also write all data points as CSV (with -experiment all)")
 	monitorAddr := flag.String("monitor", "", "serve live telemetry on this HTTP address (e.g. :8090): /metrics, /progress, /debug/pprof/")
 	liveProgress := flag.Bool("progress", true, "render a live progress/ETA line on stderr")
-	shards := flag.Int("shards", 0, "route replay-bearing cells through the sharded replay engine at this shard count (0 = plain replay)")
 	flag.Parse()
 
 	tracker := bench.NewTracker()
-	opt := bench.Options{Scale: *scale, Parallel: *parallel, Progress: tracker,
-		Shards: *shards}
+	opt := bench.Options{Scale: *scale, Parallel: *parallel, Progress: tracker}
 	progress := func(s string) {
 		if stderrIsTTY() {
 			fmt.Fprint(os.Stderr, "\r\x1b[K")
@@ -177,46 +172,22 @@ func main() {
 		// Studies beyond the paper's evaluation that it points at:
 		// consolidation frequency, NVM technologies, write-buffer depth,
 		// context-switch interference.
-		if r, err := bench.ExtConsolidation(opt); err != nil {
-			fmt.Fprintln(os.Stderr, "kindle-bench:", err)
-			os.Exit(1)
-		} else {
-			run(r, nil)
-		}
-		if r, err := bench.ExtNVMTech(opt); err != nil {
-			fmt.Fprintln(os.Stderr, "kindle-bench:", err)
-			os.Exit(1)
-		} else {
-			run(r, nil)
-		}
-		if r, err := bench.ExtWriteBuffer(opt); err != nil {
-			fmt.Fprintln(os.Stderr, "kindle-bench:", err)
-			os.Exit(1)
-		} else {
-			run(r, nil)
-		}
-		if r, err := bench.ExtContextSwitch(opt); err != nil {
-			fmt.Fprintln(os.Stderr, "kindle-bench:", err)
-			os.Exit(1)
-		} else {
-			run(r, nil)
-		}
-		if r, err := bench.ExtCheckCost(opt); err != nil {
-			fmt.Fprintln(os.Stderr, "kindle-bench:", err)
-			os.Exit(1)
-		} else {
-			run(r, nil)
-		}
-		if r, err := bench.ExtRecoveryTime(opt); err != nil {
-			fmt.Fprintln(os.Stderr, "kindle-bench:", err)
-			os.Exit(1)
-		} else {
-			run(r, nil)
+		for _, ext := range []func(bench.Options) (bench.Experiment, error){
+			study(bench.ExtConsolidation), study(bench.ExtNVMTech), study(bench.ExtWriteBuffer),
+			study(bench.ExtContextSwitch), study(bench.ExtCheckCost), study(bench.ExtRecoveryTime),
+		} {
+			run(ext(opt))
 		}
 	default:
 		fmt.Fprintf(os.Stderr, "kindle-bench: unknown experiment %q\n", *experiment)
 		os.Exit(2)
 	}
+}
+
+// study adapts an experiment constructor to return the Experiment
+// interface, so constructors of different result types share one list.
+func study[T bench.Experiment](f func(bench.Options) (T, error)) func(bench.Options) (bench.Experiment, error) {
+	return func(opt bench.Options) (bench.Experiment, error) { return f(opt) }
 }
 
 // stderrIsTTY reports whether stderr is a character device (a terminal

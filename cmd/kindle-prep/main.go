@@ -1,12 +1,13 @@
 // Command kindle-prep is the preparation component's CLI: it traces a
 // Table II benchmark (the Pin stand-in), captures its memory layout (the
 // /proc/pid/maps + SniP capture) and generates the disk image plus the
-// gemOS template code for the simulation component.
+// gemOS template code for the simulation component. Images are written in
+// the chunked, compressed v2 format; -convert upgrades a v1 image to v2.
 //
 // Usage:
 //
-//	kindle-prep -benchmark Ycsb_mem -out ./images [-small] [-maps] [-format v1]
-//	kindle-prep -convert images/Ycsb_mem.img -format v1 -o images/Ycsb_mem.v1.img
+//	kindle-prep -benchmark Ycsb_mem -out ./images [-small] [-maps]
+//	kindle-prep -convert images/Ycsb_mem.v1.img -o images/Ycsb_mem.img
 package main
 
 import (
@@ -23,8 +24,7 @@ func main() {
 	small := flag.Bool("small", false, "use the reduced test-scale configuration")
 	maps := flag.Bool("maps", false, "print the captured /proc-style maps layout")
 	list := flag.Bool("list", false, "list available benchmarks")
-	format := flag.String("format", prep.FormatV2, "disk-image format: v2 (chunked+compressed, streamed) or v1 (flat)")
-	convert := flag.String("convert", "", "convert an existing image to -format instead of tracing")
+	convert := flag.String("convert", "", "rewrite an existing image (v1 or v2) as v2 instead of tracing")
 	convOut := flag.String("o", "", "output path for -convert")
 	flag.Parse()
 
@@ -39,19 +39,19 @@ func main() {
 			fmt.Fprintln(os.Stderr, "kindle-prep: -convert requires -o <output path>")
 			os.Exit(2)
 		}
-		n, err := prep.ConvertImage(*convert, *convOut, *format)
+		n, err := prep.ConvertImage(*convert, *convOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "kindle-prep:", err)
 			os.Exit(1)
 		}
-		fmt.Printf("converted %s -> %s (%s, %d records)\n", *convert, *convOut, *format, n)
+		fmt.Printf("converted %s -> %s (v2, %d records)\n", *convert, *convOut, n)
 		return
 	}
 	if *benchmark == "" {
 		fmt.Fprintln(os.Stderr, "kindle-prep: -benchmark required (see -list)")
 		os.Exit(2)
 	}
-	d := &prep.Driver{OutDir: *out, Small: *small, Format: *format}
+	d := &prep.Driver{OutDir: *out, Small: *small}
 	res, err := d.Run(*benchmark)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kindle-prep:", err)

@@ -7,7 +7,7 @@
 //
 //	kindle-trace -in images/Ycsb_mem.img -summary
 //	kindle-trace -in images/Ycsb_mem.img -out trace.txt            # bin → text
-//	kindle-trace -in trace.txt -text-in -text-out=false -out images/custom.img  # text → bin (v2; -format v1 for flat)
+//	kindle-trace -in trace.txt -text-in -text-out=false -out images/custom.img  # text → bin (v2)
 package main
 
 import (
@@ -23,8 +23,7 @@ func main() {
 	in := flag.String("in", "", "input trace file")
 	out := flag.String("out", "", "output trace file (extension-independent; format by flags)")
 	textIn := flag.Bool("text-in", false, "input is the text format (default: binary)")
-	textOut := flag.Bool("text-out", true, "output in the text format (false: binary)")
-	format := flag.String("format", "v2", "binary output format: v2 (chunked+compressed) or v1 (flat)")
+	textOut := flag.Bool("text-out", true, "output in the text format (false: binary v2)")
 	summary := flag.Bool("summary", false, "print a summary of the trace")
 	flag.Parse()
 
@@ -73,15 +72,10 @@ func main() {
 		fatal(err)
 	}
 	defer o.Close()
-	switch {
-	case *textOut:
+	if *textOut {
 		err = trace.EncodeText(o, img)
-	case *format == "v2":
+	} else {
 		err = trace.EncodeV2(o, img, trace.StreamOptions{})
-	case *format == "v1":
-		err = trace.Encode(o, img)
-	default:
-		err = fmt.Errorf("unknown -format %q (want v1 or v2)", *format)
 	}
 	if err != nil {
 		fatal(err)
@@ -90,18 +84,16 @@ func main() {
 }
 
 // summarize streams a binary image of either format and prints its
-// summary, keeping only running counts. It checks each record as
-// trace.Decode does, so a trace that Decode rejects fails with the same
-// error, and nothing is printed unless the whole trace is valid.
+// summary, keeping only running counts. The stream decoders refuse every
+// record trace.Decode refuses, with the same error, so nothing is printed
+// unless the whole trace is valid.
 func summarize(w io.Writer, r io.Reader) error {
 	src, err := trace.OpenStream(r)
 	if err != nil {
 		return err
 	}
 	defer src.Close()
-	areas := src.Areas()
 	var n, writes int
-	var last uint64
 	for {
 		batch, err := src.Next()
 		if err == io.EOF {
@@ -110,18 +102,14 @@ func summarize(w io.Writer, r io.Reader) error {
 		if err != nil {
 			return err
 		}
+		n += len(batch)
 		for _, rec := range batch {
-			if err := trace.ValidateRecord(rec, areas, last, n); err != nil {
-				return err
-			}
-			last = rec.Period
-			n++
 			if rec.Op == trace.Write {
 				writes++
 			}
 		}
 	}
-	printSummary(w, src.Benchmark(), areas, n, writes)
+	printSummary(w, src.Benchmark(), src.Areas(), n, writes)
 	return nil
 }
 

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
+	"kindle/internal/core"
+	"kindle/internal/machine"
 	"kindle/internal/trace"
 	"kindle/internal/workloads"
 )
@@ -34,8 +37,8 @@ func decodedSummary(data []byte) (string, error) {
 }
 
 // wrapImage hand-encodes a two-record image whose second period delta
-// wraps around to below the first period. The stream decoders accept it
-// record by record; only the whole-trace check rejects it.
+// wraps around to below the first period. Each record is valid on its own;
+// only the period order is broken.
 func wrapImage(version uint32) []byte {
 	b := binary.LittleEndian.AppendUint32(nil, 0x4B545243) // "KTRC"
 	b = binary.LittleEndian.AppendUint32(b, version)
@@ -118,5 +121,44 @@ func TestSummaryStreamsLikeDecode(t *testing.T) {
 		if _, err := decodedSummary(inputs[name]); err == nil || !strings.Contains(err.Error(), "period goes backwards") {
 			t.Fatalf("%s: Decode error %v, want a backwards period", name, err)
 		}
+	}
+}
+
+// TestDecodersRejectPeriodWrap: every streamed path refuses the wrap image
+// that Decode refuses — OpenStream in both formats, OpenRange over the v2
+// chunk index, and a sharded replay — instead of handing out a period that
+// goes backwards.
+func TestDecodersRejectPeriodWrap(t *testing.T) {
+	const want = "period goes backwards"
+	for _, version := range []uint32{1, 2} {
+		src, err := trace.OpenStream(bytes.NewReader(wrapImage(version)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = src.Next()
+		src.Close()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("v%d OpenStream: error %v, want %q", version, err, want)
+		}
+	}
+	data := wrapImage(2)
+	ix, err := trace.ScanChunkIndex(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src, err := ix.OpenRange(bytes.NewReader(data), 0, len(ix.Chunks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = src.Next()
+	src.Close()
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("OpenRange: error %v, want %q", err, want)
+	}
+	cfg := machine.TestConfig()
+	_, err = core.ReplaySharded(func() (io.ReadSeeker, error) { return bytes.NewReader(data), nil },
+		core.ShardedOptions{Shards: 1, Config: &cfg})
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ReplaySharded: error %v, want %q", err, want)
 	}
 }

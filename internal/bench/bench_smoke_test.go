@@ -152,24 +152,6 @@ func TestExtNVMTechShape(t *testing.T) {
 	}
 }
 
-// TestNVMTechSharded runs the technology sweep through the sharded replay
-// engine and checks the cross-tech trend survives (sharded times are only
-// comparable to sharded times; the trend across rows is what CheckShape
-// asserts).
-func TestNVMTechSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	res, err := ExtNVMTech(Options{Scale: 1.0 / 16, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Log("\n" + res.Render())
-	if err := res.CheckShape(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestExtWriteBufferShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

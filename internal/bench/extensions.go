@@ -1,9 +1,7 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"strings"
 	"time"
 
@@ -168,9 +166,6 @@ func ExtNVMTech(opt Options) (*ExtNVMTechResult, error) {
 	for _, tech := range Techs() {
 		cfg := machine.DefaultConfig()
 		cfg.NVM = tech.Timing
-		// All three technology rows replay through the same engine (plain,
-		// or sharded under opt.Shards), so the cross-tech trend CheckShape
-		// asserts is preserved either way.
 		execMs, err := replayExecMs(img, cfg, opt)
 		if err != nil {
 			return nil, err
@@ -205,26 +200,8 @@ func ExtNVMTech(opt Options) (*ExtNVMTechResult, error) {
 }
 
 // replayExecMs replays img on a machine with the given configuration and
-// returns the simulated execution time in milliseconds. With opt.Shards > 0
-// the replay goes through core.ReplaySharded — the same code path as
-// `kindle -shards` — at that shard count; sharded times use cold segment
-// boundaries, so runs at different shard counts only compare to themselves.
+// returns the simulated execution time in milliseconds.
 func replayExecMs(img *trace.Image, cfg machine.Config, opt Options) (float64, error) {
-	if opt.Shards > 0 {
-		var buf bytes.Buffer
-		if err := trace.EncodeV2(&buf, img, trace.StreamOptions{}); err != nil {
-			return 0, err
-		}
-		data := buf.Bytes()
-		res, err := core.ReplaySharded(func() (io.ReadSeeker, error) {
-			return bytes.NewReader(data), nil
-		}, core.ShardedOptions{Shards: opt.Shards, Config: &cfg})
-		if err != nil {
-			return 0, err
-		}
-		opt.Progress.AddRecords(res.Records)
-		return res.Cycles.Millis(), nil
-	}
 	f := core.New(cfg)
 	_, rep, err := f.LaunchInit(img)
 	if err != nil {

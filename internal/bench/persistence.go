@@ -28,14 +28,6 @@ type Options struct {
 	// observational — attaching it never changes scheduling or results.
 	Progress *Tracker
 
-	// Shards > 0 routes replay-bearing cells that only need total simulated
-	// execution time (the NVM-technology extension) through the sharded
-	// replay engine at that shard count. Sharded times use cold segment
-	// boundaries, so they are only comparable to other sharded runs — keep
-	// Shards fixed when diffing reports (kindle-benchdiff refuses mixed
-	// shard counts without -normalize-env).
-	Shards int
-
 	// images, set only by RunAll, shares each Table II trace image among
 	// the suite's experiments.
 	images *imageCache

@@ -35,19 +35,12 @@ const (
 // multi-threaded variant last).
 func Benchmarks() []string { return []string{BenchPageRank, BenchSSSP, BenchYCSB, BenchYCSBMT} }
 
-// Disk-image format names accepted by Driver.Format and ConvertImage.
-const (
-	FormatV1 = "v1" // materialized, written by trace.Encode
-	FormatV2 = "v2" // chunked + compressed, written by trace.StreamWriter
-)
-
 // Result is everything the preparation run produces.
 type Result struct {
 	// Image holds the captured trace. When the driver streamed the
-	// records straight to disk (Format "v2", the default, with OutDir
-	// set) it carries the header only — benchmark and area table, no
-	// records; Records, ReadPct and WritePct summarize the trace either
-	// way.
+	// records straight to disk (OutDir set) it carries the header only —
+	// benchmark and area table, no records; Records, ReadPct and WritePct
+	// summarize the trace either way.
 	Image        *trace.Image
 	MapsText     string // /proc/pid/maps-style capture
 	TemplateCode string // generated gemOS replay template
@@ -63,35 +56,23 @@ type Result struct {
 // driver program (1) and code/image generator (2).
 type Driver struct {
 	// OutDir, when set, receives the disk image and template code files.
+	// Records then stream from the instrumented workload straight to a
+	// compressed v2 image — the trace is never materialized in memory,
+	// and the image carries the chunk index sharded replay needs.
 	OutDir string
 	// Small selects the reduced test-scale workload configurations.
 	Small bool
-	// Format selects the disk-image format: FormatV2 (default) or
-	// FormatV1. With FormatV2 and OutDir set, records stream from the
-	// instrumented workload straight to the compressed image — the trace
-	// is never materialized in memory, and the image carries the chunk
-	// index sharded replay needs.
-	Format string
 }
 
 // Run traces the named benchmark and generates its artifacts.
 func (d *Driver) Run(benchmark string) (*Result, error) {
-	format := d.Format
-	if format == "" {
-		format = FormatV2
-	}
-	if format != FormatV1 && format != FormatV2 {
-		return nil, fmt.Errorf("prep: unknown image format %q (want %q or %q)", format, FormatV1, FormatV2)
-	}
-	streaming := format == FormatV2 && d.OutDir != ""
-
 	var (
 		imagePath string
 		imageFile *os.File
 		sw        *trace.StreamWriter
 		sink      workloads.SinkOpenFunc
 	)
-	if streaming {
+	if d.OutDir != "" {
 		if err := os.MkdirAll(d.OutDir, 0o755); err != nil {
 			return nil, fmt.Errorf("prep: %w", err)
 		}
@@ -127,7 +108,7 @@ func (d *Driver) Run(benchmark string) (*Result, error) {
 		MapsText:     MapsText(img),
 		TemplateCode: GenerateTemplate(img),
 	}
-	if streaming && sw != nil {
+	if sw != nil {
 		if err := sw.Close(); err != nil {
 			return nil, fmt.Errorf("prep: finishing image: %w", err)
 		}
@@ -146,15 +127,6 @@ func (d *Driver) Run(benchmark string) (*Result, error) {
 		res.ReadPct, res.WritePct = img.Mix()
 	}
 	if d.OutDir != "" {
-		if err := os.MkdirAll(d.OutDir, 0o755); err != nil {
-			return nil, fmt.Errorf("prep: %w", err)
-		}
-		if !streaming {
-			res.ImagePath = filepath.Join(d.OutDir, benchmark+".img")
-			if err := writeImageFormat(res.ImagePath, img, format); err != nil {
-				return nil, err
-			}
-		}
 		res.TemplatePath = filepath.Join(d.OutDir, benchmark+"_template.c")
 		if err := os.WriteFile(res.TemplatePath, []byte(res.TemplateCode), 0o644); err != nil {
 			return nil, fmt.Errorf("prep: writing template: %w", err)
@@ -277,42 +249,8 @@ func GenerateTemplate(img *trace.Image) string {
 	return b.String()
 }
 
-// WriteImageFile writes the binary disk image in the v1 format.
-func WriteImageFile(path string, img *trace.Image) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("prep: %w", err)
-	}
-	defer f.Close()
-	if err := trace.Encode(f, img); err != nil {
-		return fmt.Errorf("prep: encoding image: %w", err)
-	}
-	return f.Sync()
-}
-
-// WriteImageFileV2 writes the binary disk image in the chunked compressed
-// v2 format.
-func WriteImageFileV2(path string, img *trace.Image) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("prep: %w", err)
-	}
-	defer f.Close()
-	if err := trace.EncodeV2(f, img, trace.StreamOptions{}); err != nil {
-		return fmt.Errorf("prep: encoding image: %w", err)
-	}
-	return f.Sync()
-}
-
-func writeImageFormat(path string, img *trace.Image, format string) error {
-	if format == FormatV2 {
-		return WriteImageFileV2(path, img)
-	}
-	return WriteImageFile(path, img)
-}
-
-// ReadImageFile loads a disk image written by WriteImageFile or
-// WriteImageFileV2 (the decoder sniffs the format from the header).
+// ReadImageFile loads a disk image of either format (the decoder sniffs
+// the version from the header).
 func ReadImageFile(path string) (*trace.Image, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -369,44 +307,36 @@ func OpenImageStreamConfig(path string, cfg trace.StreamConfig) (*ImageStream, e
 // indirection would otherwise hide.
 func (s *ImageStream) DecodeSource() trace.RecordSource { return s.RecordSource }
 
-// ConvertImage rewrites a disk image into the given format ("v1" or "v2"),
-// streaming record-by-record — converting to v2 never materializes the
-// trace. It returns the number of records converted.
-func ConvertImage(srcPath, dstPath, format string) (int, error) {
-	switch format {
-	case FormatV1:
-		img, err := ReadImageFile(srcPath)
-		if err != nil {
-			return 0, err
-		}
-		if err := WriteImageFile(dstPath, img); err != nil {
-			return 0, err
-		}
-		return len(img.Records), nil
-	case FormatV2:
-		src, err := OpenImageStream(srcPath)
-		if err != nil {
-			return 0, err
-		}
-		defer src.Close()
-		f, err := os.Create(dstPath)
-		if err != nil {
-			return 0, fmt.Errorf("prep: %w", err)
-		}
-		defer f.Close()
-		sw, err := trace.NewStreamWriter(f, src.Benchmark(), src.Areas(), trace.StreamOptions{})
-		if err != nil {
-			return 0, fmt.Errorf("prep: %w", err)
-		}
-		n, err := trace.CopyStream(sw, src)
-		if err != nil {
-			return 0, fmt.Errorf("prep: converting %s: %w", srcPath, err)
-		}
-		if err := sw.Close(); err != nil {
-			return 0, fmt.Errorf("prep: finishing %s: %w", dstPath, err)
-		}
-		return n, f.Sync()
-	default:
-		return 0, fmt.Errorf("prep: unknown image format %q (want %q or %q)", format, FormatV1, FormatV2)
+// ConvertImage rewrites a disk image of either format as a v2 image,
+// streaming record by record, so the trace is never materialized; a v1
+// image is thereby upgraded. It returns the number of records converted.
+func ConvertImage(srcPath, dstPath string) (int, error) {
+	src, err := OpenImageStream(srcPath)
+	if err != nil {
+		return 0, err
 	}
+	defer src.Close()
+	f, err := os.Create(dstPath)
+	if err != nil {
+		return 0, fmt.Errorf("prep: %w", err)
+	}
+	defer f.Close()
+	sw, err := trace.NewStreamWriter(f, src.Benchmark(), src.Areas(), trace.StreamOptions{})
+	if err != nil {
+		return 0, fmt.Errorf("prep: %w", err)
+	}
+	n, err := trace.CopyStream(sw, src)
+	if err != nil {
+		return 0, fmt.Errorf("prep: converting %s: %w", srcPath, err)
+	}
+	if err := sw.Close(); err != nil {
+		return 0, fmt.Errorf("prep: finishing %s: %w", dstPath, err)
+	}
+	if err := f.Sync(); err != nil {
+		return 0, fmt.Errorf("prep: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return 0, fmt.Errorf("prep: %w", err)
+	}
+	return n, nil
 }

@@ -1,11 +1,14 @@
 package prep
 
 import (
+	"bytes"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"kindle/internal/trace"
 )
 
 func TestDriverRunsAllBenchmarks(t *testing.T) {
@@ -78,17 +81,29 @@ func TestTemplateCode(t *testing.T) {
 	}
 }
 
-func TestImageFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	d := &Driver{Small: true, OutDir: dir, Format: FormatV1}
-	res, err := d.Run(BenchYCSB)
+// writeV1Image traces benchmark without streaming and writes the trace as
+// a v1 image with trace.Encode, returning the image's path and the run.
+func writeV1Image(t *testing.T, dir, benchmark string) (string, *Result) {
+	t.Helper()
+	res, err := (&Driver{Small: true}).Run(benchmark)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.ImagePath != filepath.Join(dir, "Ycsb_mem.img") {
-		t.Fatalf("image path %q", res.ImagePath)
+	var buf bytes.Buffer
+	if err := trace.Encode(&buf, res.Image); err != nil {
+		t.Fatal(err)
 	}
-	img, err := ReadImageFile(res.ImagePath)
+	path := filepath.Join(dir, benchmark+".v1.img")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path, res
+}
+
+func TestImageFileRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	path, res := writeV1Image(t, dir, BenchYCSB)
+	img, err := ReadImageFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +125,9 @@ func TestDriverStreamsV2(t *testing.T) {
 	res, err := d.Run(BenchYCSB)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.ImagePath != filepath.Join(dir, "Ycsb_mem.img") {
+		t.Fatalf("image path %q", res.ImagePath)
 	}
 	if len(res.Image.Records) != 0 {
 		t.Fatalf("streaming run materialized %d records", len(res.Image.Records))
@@ -141,16 +159,14 @@ func TestDriverStreamsV2(t *testing.T) {
 
 // TestDriverV2SmallerOnDisk checks the format actually pays for itself.
 func TestDriverV2SmallerOnDisk(t *testing.T) {
-	dirV1 := t.TempDir()
-	dirV2 := t.TempDir()
-	if _, err := (&Driver{OutDir: dirV1, Small: true, Format: FormatV1}).Run(BenchYCSB); err != nil {
+	dir := t.TempDir()
+	v1Path, _ := writeV1Image(t, dir, BenchYCSB)
+	res, err := (&Driver{OutDir: dir, Small: true}).Run(BenchYCSB)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (&Driver{OutDir: dirV2, Small: true}).Run(BenchYCSB); err != nil {
-		t.Fatal(err)
-	}
-	s1 := fileSize(t, filepath.Join(dirV1, BenchYCSB+".img"))
-	s2 := fileSize(t, filepath.Join(dirV2, BenchYCSB+".img"))
+	s1 := fileSize(t, v1Path)
+	s2 := fileSize(t, res.ImagePath)
 	if s2*2 > s1 {
 		t.Fatalf("v2 image %d B not ≥2x smaller than v1 %d B", s2, s1)
 	}
@@ -165,57 +181,58 @@ func fileSize(t *testing.T, path string) int64 {
 	return fi.Size()
 }
 
-// TestConvertImage round-trips v1 → v2 → v1 through the converter.
+// TestConvertImage upgrades a v1 image to v2 through the converter.
 func TestConvertImage(t *testing.T) {
 	dir := t.TempDir()
-	res, err := (&Driver{OutDir: dir, Small: true, Format: FormatV1}).Run(BenchYCSB)
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1Path, res := writeV1Image(t, dir, BenchYCSB)
 	v2Path := filepath.Join(dir, "conv.v2.img")
-	n, err := ConvertImage(res.ImagePath, v2Path, FormatV2)
+	n, err := ConvertImage(v1Path, v2Path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(res.Image.Records) {
 		t.Fatalf("converted %d records, want %d", n, len(res.Image.Records))
 	}
-	v1Path := filepath.Join(dir, "conv.v1.img")
-	if _, err := ConvertImage(v2Path, v1Path, FormatV1); err != nil {
-		t.Fatal(err)
-	}
-	img, err := ReadImageFile(v1Path)
+	f, err := os.Open(v2Path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := trace.ScanChunkIndex(f); err != nil {
+		t.Fatalf("converted image is not v2: %v", err)
+	}
+	img, err := ReadImageFile(v2Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.Records) != len(res.Image.Records) {
+		t.Fatalf("converted image has %d records, want %d", len(img.Records), len(res.Image.Records))
 	}
 	for i := range res.Image.Records {
 		if img.Records[i] != res.Image.Records[i] {
 			t.Fatalf("record %d lost in conversion", i)
 		}
 	}
-	if _, err := ConvertImage(res.ImagePath, v1Path, "v3"); err == nil {
-		t.Fatal("unknown format accepted")
-	}
 }
 
 // TestOpenImageStream decodes both formats through the streaming opener.
 func TestOpenImageStream(t *testing.T) {
 	dir := t.TempDir()
-	for _, format := range []string{FormatV1, FormatV2} {
-		d := &Driver{OutDir: filepath.Join(dir, format), Small: true, Format: format}
-		res, err := d.Run(BenchYCSB)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, err := OpenImageStream(res.ImagePath)
+	v1Path, _ := writeV1Image(t, dir, BenchYCSB)
+	res, err := (&Driver{OutDir: dir, Small: true}).Run(BenchYCSB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{v1Path, res.ImagePath} {
+		src, err := OpenImageStream(path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if src.Benchmark() != BenchYCSB {
-			t.Fatalf("%s: benchmark %q", format, src.Benchmark())
+			t.Fatalf("%s: benchmark %q", path, src.Benchmark())
 		}
 		if src.Total() != res.Records {
-			t.Fatalf("%s: total %d, want %d", format, src.Total(), res.Records)
+			t.Fatalf("%s: total %d, want %d", path, src.Total(), res.Records)
 		}
 		n := 0
 		for {
@@ -229,7 +246,7 @@ func TestOpenImageStream(t *testing.T) {
 			n += len(batch)
 		}
 		if n != res.Records {
-			t.Fatalf("%s: streamed %d of %d records", format, n, res.Records)
+			t.Fatalf("%s: streamed %d of %d records", path, n, res.Records)
 		}
 		if err := src.Close(); err != nil {
 			t.Fatal(err)

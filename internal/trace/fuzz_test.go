@@ -16,8 +16,9 @@ import (
 // fuzzSeeds returns representative inputs for the decoder fuzz targets:
 // well-formed v1 and v2 images (raw and compressed chunks), their
 // truncations, a few corrupted headers, multi-chunk images whose frames and
-// footer scan cleanly but whose chunks do not decode, and DEFLATE payloads
-// corrupted behind intact frames (see deflateSeeds).
+// footer scan cleanly but whose chunks do not decode, DEFLATE payloads
+// corrupted behind intact frames (see deflateSeeds) and a period that wraps
+// backwards in each format (see wrapSeeds).
 // The same set is checked in under testdata/fuzz/FuzzDecode and
 // testdata/fuzz/FuzzChunkIndex so CI's fuzz smoke starts from real
 // coverage.
@@ -68,7 +69,38 @@ func fuzzSeeds() [][]byte {
 		backZeroSize,
 		backTorn,
 	}
-	return append(seeds, deflateSeeds()...)
+	seeds = append(seeds, deflateSeeds()...)
+	return append(seeds, wrapSeeds()...)
+}
+
+// wrapSeeds returns a v1 and a v2 image of two records whose second period
+// delta wraps around to below the first period. Each record is valid on its
+// own; only the period order is broken.
+func wrapSeeds() [][]byte {
+	areas := []Area{{Name: "heap", Size: 1 << 20, Write: true}}
+	v1, err := appendHeader(nil, formatVer, "wrap", areas)
+	if err != nil {
+		panic(err)
+	}
+	v2 := append([]byte(nil), v1...)
+	v2[4] = byte(formatVer2) // the version's low byte
+	deltas := []uint64{5, 1<<64 - 1}
+	v1 = binary.AppendUvarint(v1, uint64(len(deltas)))
+	var payload []byte
+	for _, d := range deltas {
+		v1 = binary.AppendUvarint(v1, d)
+		v1 = append(v1, 64, 0, 8, 0) // offset, op, size, area
+		payload = binary.AppendUvarint(payload, d)
+		payload = append(payload, 0, 0, 8) // tag, offset delta, size
+	}
+	v2 = append(v2, byte(len(deltas)), codecRaw, 0) // count, codec, base period
+	v2 = binary.AppendUvarint(v2, uint64(len(payload)))
+	v2 = binary.AppendUvarint(v2, uint64(len(payload)))
+	v2 = append(append(v2, payload...), 0)
+	footer := []byte{1, byte(len(deltas)), byte(len(payload)), byte(len(deltas))}
+	v2 = append(v2, footer...)
+	v2 = binary.LittleEndian.AppendUint32(v2, uint32(len(footer)))
+	return [][]byte{v1, binary.LittleEndian.AppendUint32(v2, footerMagic)}
 }
 
 // deflateSeeds returns four-chunk v2 images whose frames and footer scan

@@ -109,11 +109,11 @@ func ValidateHeader(benchmark string, areas []Area) error {
 	return nil
 }
 
-// ValidateRecord checks one record against the area table and the period
+// validateRecord checks one record against the area table and the period
 // of the record before it (0 for the first), as Image.Validate does for
 // each record. index is the record's position in the trace, used only for
 // the error text.
-func ValidateRecord(rec Record, areas []Area, lastPeriod uint64, index int) error {
+func validateRecord(rec Record, areas []Area, lastPeriod uint64, index int) error {
 	if int(rec.Area) >= len(areas) {
 		return fmt.Errorf("trace: record %d references area %d of %d: %w", index, rec.Area, len(areas), ErrCorrupt)
 	}
@@ -428,7 +428,7 @@ func (s *v1Source) Next() ([]Record, error) {
 	c := s.c
 	// Field labels are static: formatting the record index into every
 	// context string allocated four strings per record on the happy path.
-	// The error's byte offset (and ValidateRecord's index) still localize
+	// The error's byte offset (and validateRecord's index) still localize
 	// any failure.
 	for i := range batch {
 		idx := s.read + i
@@ -436,6 +436,7 @@ func (s *v1Source) Next() ([]Record, error) {
 		if err != nil {
 			return nil, err
 		}
+		prev := s.lastPeriod
 		s.lastPeriod += d
 		batch[i].Period = s.lastPeriod
 		if batch[i].Offset, err = c.uvarint("record offset"); err != nil {
@@ -456,7 +457,7 @@ func (s *v1Source) Next() ([]Record, error) {
 			return nil, err
 		}
 		batch[i].Area = uint32(ar)
-		if err := ValidateRecord(batch[i], s.h.areas, s.lastPeriod, idx); err != nil {
+		if err := validateRecord(batch[i], s.h.areas, prev, idx); err != nil {
 			return nil, err
 		}
 	}
@@ -662,6 +663,10 @@ func decodeChunkPayload(payload []byte, count int, basePeriod uint64, areas []Ar
 				pos += n
 			}
 		}
+		if lastPeriod+v < lastPeriod {
+			return nil, 0, fmt.Errorf("trace: offset %d: record %d period goes backwards (%d < %d): %w",
+				fileOff, recBase+i, lastPeriod+v, lastPeriod, ErrCorrupt)
+		}
 		lastPeriod += v
 
 		// Field 2: tag = area<<1 | op.
@@ -831,13 +836,9 @@ func NewStreamWriter(w io.Writer, benchmark string, areas []Area, opt StreamOpti
 	if err := ValidateHeader(benchmark, areas); err != nil {
 		return nil, err
 	}
-	if len(benchmark) > maxNameBytes {
-		return nil, fmt.Errorf("trace: name %q too long", benchmark)
-	}
-	for _, a := range areas {
-		if len(a.Name) > maxNameBytes {
-			return nil, fmt.Errorf("trace: name %q too long", a.Name)
-		}
+	header, err := appendHeader(nil, formatVer2, benchmark, areas)
+	if err != nil {
+		return nil, err
 	}
 	chunkRecs := opt.ChunkRecords
 	if chunkRecs <= 0 {
@@ -857,64 +858,10 @@ func NewStreamWriter(w io.Writer, benchmark string, areas []Area, opt StreamOpti
 	for i := range sw.ring {
 		sw.ring[i].done = make(chan struct{}, 1)
 	}
-	if err := sw.writeHeader(benchmark); err != nil {
+	if _, err := sw.bw.Write(header); err != nil {
 		return nil, err
 	}
 	return sw, nil
-}
-
-func (sw *StreamWriter) putU32(v uint32) error {
-	binary.LittleEndian.PutUint32(sw.scratch[:4], v)
-	_, err := sw.bw.Write(sw.scratch[:4])
-	return err
-}
-
-func (sw *StreamWriter) putUvarint(v uint64) error {
-	n := binary.PutUvarint(sw.scratch[:], v)
-	_, err := sw.bw.Write(sw.scratch[:n])
-	return err
-}
-
-func (sw *StreamWriter) putString(s string) error {
-	if err := sw.bw.WriteByte(byte(len(s))); err != nil {
-		return err
-	}
-	_, err := sw.bw.WriteString(s)
-	return err
-}
-
-func (sw *StreamWriter) writeHeader(benchmark string) error {
-	if err := sw.putU32(formatMagic); err != nil {
-		return err
-	}
-	if err := sw.putU32(formatVer2); err != nil {
-		return err
-	}
-	if err := sw.putString(benchmark); err != nil {
-		return err
-	}
-	if err := sw.putUvarint(uint64(len(sw.areas))); err != nil {
-		return err
-	}
-	for _, a := range sw.areas {
-		if err := sw.putString(a.Name); err != nil {
-			return err
-		}
-		if err := sw.putUvarint(a.Size); err != nil {
-			return err
-		}
-		var flags byte
-		if a.NVM {
-			flags |= 1
-		}
-		if a.Write {
-			flags |= 2
-		}
-		if err := sw.bw.WriteByte(flags); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // appendUvarint is binary.AppendUvarint with the one-byte case inline: most
@@ -937,10 +884,10 @@ func (sw *StreamWriter) Write(rec Record) error {
 		return sw.err
 	}
 	// The happy path is a handful of inline branches; only a bad record
-	// drops to ValidateRecord for the precise error text.
+	// drops to validateRecord for the precise error text.
 	if end := rec.Offset + uint64(rec.Size); int(rec.Area) >= len(sw.areas) || rec.Size == 0 ||
 		rec.Period < sw.lastPeriod || rec.Op > Write || end > sw.areas[rec.Area].Size || end < rec.Offset {
-		return ValidateRecord(rec, sw.areas, sw.lastPeriod, sw.total)
+		return validateRecord(rec, sw.areas, sw.lastPeriod, sw.total)
 	}
 	s := &sw.ring[sw.open]
 	p := appendUvarint(s.payload, rec.Period-sw.lastPeriod)
@@ -1037,28 +984,17 @@ func (sw *StreamWriter) Close() error {
 			return err
 		}
 	}
-	if err := sw.putUvarint(0); err != nil {
-		return err
-	}
-	var footer bytes.Buffer
-	var tmp [binary.MaxVarintLen64]byte
-	put := func(v uint64) {
-		n := binary.PutUvarint(tmp[:], v)
-		footer.Write(tmp[:n])
-	}
-	put(uint64(len(sw.index)))
+	// The chunk terminator (a zero record count), then the footer index,
+	// its length without the terminator, and the footer magic.
+	out := binary.AppendUvarint([]byte{0}, uint64(len(sw.index)))
 	for _, e := range sw.index {
-		put(e.records)
-		put(e.diskBytes)
+		out = binary.AppendUvarint(out, e.records)
+		out = binary.AppendUvarint(out, e.diskBytes)
 	}
-	put(uint64(sw.total))
-	if _, err := sw.bw.Write(footer.Bytes()); err != nil {
-		return err
-	}
-	if err := sw.putU32(uint32(footer.Len())); err != nil {
-		return err
-	}
-	if err := sw.putU32(footerMagic); err != nil {
+	out = binary.AppendUvarint(out, uint64(sw.total))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(out)-1))
+	out = binary.LittleEndian.AppendUint32(out, footerMagic)
+	if _, err := sw.bw.Write(out); err != nil {
 		return err
 	}
 	return sw.bw.Flush()

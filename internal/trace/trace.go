@@ -6,7 +6,6 @@
 package trace
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -81,7 +80,7 @@ func (img *Image) Validate() error {
 	}
 	// The record loop runs once per image over the whole trace, so the
 	// happy path is a handful of branches inline; only a failing record
-	// drops to ValidateRecord for the precise error text.
+	// drops to validateRecord for the precise error text.
 	areas := img.Areas
 	var lastPeriod uint64
 	for i := range img.Records {
@@ -89,7 +88,7 @@ func (img *Image) Validate() error {
 		end := r.Offset + uint64(r.Size)
 		if int(r.Area) >= len(areas) || r.Size == 0 || r.Period < lastPeriod || r.Op > Write ||
 			end > areas[r.Area].Size || end < r.Offset {
-			return ValidateRecord(*r, areas, lastPeriod, i)
+			return validateRecord(*r, areas, lastPeriod, i)
 		}
 		lastPeriod = r.Period
 	}
@@ -130,53 +129,28 @@ const (
 	maxNameBytes = 255
 )
 
-// Encode writes the image in the binary on-disk format.
-func Encode(w io.Writer, img *Image) error {
-	if err := img.Validate(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	var scratch [binary.MaxVarintLen64]byte
-	putU32 := func(v uint32) error {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		_, err := bw.Write(scratch[:4])
-		return err
-	}
-	putUvarint := func(v uint64) error {
-		n := binary.PutUvarint(scratch[:], v)
-		_, err := bw.Write(scratch[:n])
-		return err
-	}
-	putString := func(s string) error {
+// appendHeader appends the header both binary formats share: magic,
+// version, benchmark name and area table. Names are length-prefixed by
+// one byte, so a longer one is an error.
+func appendHeader(p []byte, version uint32, benchmark string, areas []Area) ([]byte, error) {
+	p = binary.LittleEndian.AppendUint32(p, formatMagic)
+	p = binary.LittleEndian.AppendUint32(p, version)
+	appendName := func(s string) error {
 		if len(s) > maxNameBytes {
 			return fmt.Errorf("trace: name %q too long", s)
 		}
-		if err := bw.WriteByte(byte(len(s))); err != nil {
-			return err
+		p = append(append(p, byte(len(s))), s...)
+		return nil
+	}
+	if err := appendName(benchmark); err != nil {
+		return nil, err
+	}
+	p = binary.AppendUvarint(p, uint64(len(areas)))
+	for _, a := range areas {
+		if err := appendName(a.Name); err != nil {
+			return nil, err
 		}
-		_, err := bw.WriteString(s)
-		return err
-	}
-
-	if err := putU32(formatMagic); err != nil {
-		return err
-	}
-	if err := putU32(formatVer); err != nil {
-		return err
-	}
-	if err := putString(img.Benchmark); err != nil {
-		return err
-	}
-	if err := putUvarint(uint64(len(img.Areas))); err != nil {
-		return err
-	}
-	for _, a := range img.Areas {
-		if err := putString(a.Name); err != nil {
-			return err
-		}
-		if err := putUvarint(a.Size); err != nil {
-			return err
-		}
+		p = binary.AppendUvarint(p, a.Size)
 		var flags byte
 		if a.NVM {
 			flags |= 1
@@ -184,35 +158,43 @@ func Encode(w io.Writer, img *Image) error {
 		if a.Write {
 			flags |= 2
 		}
-		if err := bw.WriteByte(flags); err != nil {
-			return err
-		}
+		p = append(p, flags)
 	}
-	if err := putUvarint(uint64(len(img.Records))); err != nil {
+	return p, nil
+}
+
+// Encode writes the image in the version 1 binary format: the header, then
+// one flat record stream. Kindle's tools write version 2 (EncodeV2); Encode
+// serves the image-sizes comparison and tests that need a v1 input.
+func Encode(w io.Writer, img *Image) error {
+	if err := img.Validate(); err != nil {
 		return err
 	}
+	p, err := appendHeader(nil, formatVer, img.Benchmark, img.Areas)
+	if err != nil {
+		return err
+	}
+	p = binary.AppendUvarint(p, uint64(len(img.Records)))
 	// Records are delta-encoded on Period (Validate guarantees it is
-	// monotone non-decreasing) and raw-varint elsewhere.
+	// monotone non-decreasing) and raw-varint elsewhere; the encoded bytes
+	// go to w in blocks of about 64 KiB.
 	var lastPeriod uint64
 	for _, r := range img.Records {
-		if err := putUvarint(r.Period - lastPeriod); err != nil {
-			return err
-		}
+		p = binary.AppendUvarint(p, r.Period-lastPeriod)
 		lastPeriod = r.Period
-		if err := putUvarint(r.Offset); err != nil {
-			return err
-		}
-		if err := bw.WriteByte(byte(r.Op)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(r.Size)); err != nil {
-			return err
-		}
-		if err := putUvarint(uint64(r.Area)); err != nil {
-			return err
+		p = binary.AppendUvarint(p, r.Offset)
+		p = append(p, byte(r.Op))
+		p = binary.AppendUvarint(p, uint64(r.Size))
+		p = binary.AppendUvarint(p, uint64(r.Area))
+		if len(p) >= 1<<16 {
+			if _, err := w.Write(p); err != nil {
+				return err
+			}
+			p = p[:0]
 		}
 	}
-	return bw.Flush()
+	_, err = w.Write(p)
+	return err
 }
 
 // Decode materializes an image from either binary format — version 1

@@ -133,7 +133,7 @@ func (sw *refStreamWriter) Write(rec Record) error {
 	if sw.closed {
 		return errors.New("trace: write to closed stream writer")
 	}
-	if err := ValidateRecord(rec, sw.areas, sw.lastPeriod, sw.total); err != nil {
+	if err := validateRecord(rec, sw.areas, sw.lastPeriod, sw.total); err != nil {
 		return err
 	}
 	var tmp [binary.MaxVarintLen64]byte
