@@ -310,32 +310,48 @@ func (s *ImageStream) DecodeSource() trace.RecordSource { return s.RecordSource 
 // ConvertImage rewrites a disk image of either format as a v2 image,
 // streaming record by record, so the trace is never materialized; a v1
 // image is thereby upgraded. It returns the number of records converted.
-func ConvertImage(srcPath, dstPath string) (int, error) {
+// The image is written to a temporary file in dstPath's directory and
+// renamed over dstPath only once complete, so dstPath may name the source
+// itself, and a failed conversion leaves no file behind.
+func ConvertImage(srcPath, dstPath string) (n int, err error) {
 	src, err := OpenImageStream(srcPath)
 	if err != nil {
 		return 0, err
 	}
 	defer src.Close()
-	f, err := os.Create(dstPath)
+	f, err := os.CreateTemp(filepath.Dir(dstPath), filepath.Base(dstPath)+".*.tmp")
 	if err != nil {
 		return 0, fmt.Errorf("prep: %w", err)
 	}
-	defer f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}()
 	sw, err := trace.NewStreamWriter(f, src.Benchmark(), src.Areas(), trace.StreamOptions{})
 	if err != nil {
 		return 0, fmt.Errorf("prep: %w", err)
 	}
-	n, err := trace.CopyStream(sw, src)
+	n, err = trace.CopyStream(sw, src)
 	if err != nil {
 		return 0, fmt.Errorf("prep: converting %s: %w", srcPath, err)
 	}
 	if err := sw.Close(); err != nil {
 		return 0, fmt.Errorf("prep: finishing %s: %w", dstPath, err)
 	}
+	// CreateTemp makes the file owner-only; give the image the mode
+	// os.Create would under the usual umask.
+	if err := f.Chmod(0o644); err != nil {
+		return 0, fmt.Errorf("prep: %w", err)
+	}
 	if err := f.Sync(); err != nil {
 		return 0, fmt.Errorf("prep: %w", err)
 	}
 	if err := f.Close(); err != nil {
+		return 0, fmt.Errorf("prep: %w", err)
+	}
+	if err := os.Rename(f.Name(), dstPath); err != nil {
 		return 0, fmt.Errorf("prep: %w", err)
 	}
 	return n, nil

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -211,6 +212,63 @@ func TestConvertImage(t *testing.T) {
 	for i := range res.Image.Records {
 		if img.Records[i] != res.Image.Records[i] {
 			t.Fatalf("record %d lost in conversion", i)
+		}
+	}
+}
+
+// TestConvertImageInPlace: converting a v1 image onto its own path must
+// read the whole source before the destination is replaced, leaving a v2
+// image of the same records.
+func TestConvertImageInPlace(t *testing.T) {
+	dir := t.TempDir()
+	path, res := writeV1Image(t, dir, BenchYCSB)
+	n, err := ConvertImage(path, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(res.Image.Records) {
+		t.Fatalf("converted %d records, want %d", n, len(res.Image.Records))
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := trace.ScanChunkIndex(f); err != nil {
+		t.Fatalf("converted image is not v2: %v", err)
+	}
+	img, err := ReadImageFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(img.Records, res.Image.Records) {
+		t.Fatalf("in-place conversion changed the records (%d, want %d)", len(img.Records), len(res.Image.Records))
+	}
+}
+
+// TestConvertImageFailureLeavesNoFile: a conversion that fails part way
+// must leave neither a file at the destination nor its temporary file.
+func TestConvertImageFailureLeavesNoFile(t *testing.T) {
+	dir := t.TempDir()
+	v1Path, _ := writeV1Image(t, dir, BenchYCSB)
+	data, err := os.ReadFile(v1Path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(v1Path, data[:3000], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	dst := filepath.Join(dir, "conv.v2.img")
+	if _, err := ConvertImage(v1Path, dst); err == nil {
+		t.Fatal("converting a truncated image succeeded")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if e.Name() != filepath.Base(v1Path) {
+			t.Errorf("failed conversion left %s behind", e.Name())
 		}
 	}
 }

@@ -17,8 +17,9 @@ import (
 // well-formed v1 and v2 images (raw and compressed chunks), their
 // truncations, a few corrupted headers, multi-chunk images whose frames and
 // footer scan cleanly but whose chunks do not decode, DEFLATE payloads
-// corrupted behind intact frames (see deflateSeeds) and a period that wraps
-// backwards in each format (see wrapSeeds).
+// corrupted behind intact frames (see deflateSeeds), a period that wraps
+// backwards in each format (see wrapSeeds) and v1 records whose size and
+// area overflow the record's fields (see v1OverwideSeeds).
 // The same set is checked in under testdata/fuzz/FuzzDecode and
 // testdata/fuzz/FuzzChunkIndex so CI's fuzz smoke starts from real
 // coverage.
@@ -70,7 +71,26 @@ func fuzzSeeds() [][]byte {
 		backTorn,
 	}
 	seeds = append(seeds, deflateSeeds()...)
-	return append(seeds, wrapSeeds()...)
+	seeds = append(seeds, wrapSeeds()...)
+	return append(seeds, v1OverwideSeeds()...)
+}
+
+// v1OverwideSeeds returns two one-record v1 images: one of size 2^32+8 and
+// one referencing area 2^32 of 1. A decoder that narrows the varints to the
+// record's field widths before checking them reads size 8 and area 0.
+func v1OverwideSeeds() [][]byte {
+	areas := []Area{{Name: "heap", Size: 1 << 20, Write: true}}
+	var seeds [][]byte
+	for _, f := range []struct{ size, area uint64 }{{1<<32 + 8, 0}, {8, 1 << 32}} {
+		p, err := appendHeader(nil, formatVer, "wide", areas)
+		if err != nil {
+			panic(err)
+		}
+		p = append(p, 1, 1, 64, byte(Read)) // record count, period delta, offset, op
+		p = binary.AppendUvarint(p, f.size)
+		seeds = append(seeds, binary.AppendUvarint(p, f.area))
+	}
+	return seeds
 }
 
 // wrapSeeds returns a v1 and a v2 image of two records whose second period

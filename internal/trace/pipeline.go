@@ -23,7 +23,9 @@ import (
 // the exact error order — of a sequential decode. The reader reuses a slot
 // only after Next has released the chunk it held, so the ring bounds
 // resident chunks and the warm steady state allocates nothing (the
-// zero-alloc CI guards pin this).
+// zero-alloc CI guards pin this). Close hands the ring's buffers and the
+// workers' inflaters to the next stream opened, so a process that opens
+// stream after stream allocates them once.
 
 // DecodeStats samples the pipelined decoder's progress and stall counters.
 // Stalls localize the bottleneck: reorder stalls mean the consumer waited on
@@ -70,13 +72,25 @@ type pipeSlot struct {
 	done       chan struct{}
 }
 
+// Close hands every slot, with its disk and record buffers, and every
+// worker's inflater and raw buffer to the next stream opened through these
+// pools. They are pooled one by one, not as one pipeline: a sync.Pool keeps
+// the first item put on a P where a Get on another P cannot reach it, so a
+// stream opened on another P misses one slot and one decoder, not every
+// buffer.
+var (
+	slotPool    = sync.Pool{New: func() any { return &pipeSlot{done: make(chan struct{}, 1)} }}
+	decoderPool = sync.Pool{New: func() any { return new(chunkDecoder) }}
+)
+
 // v2PipelineSource is the v2 decoder behind OpenStreamConfig.
 type v2PipelineSource struct {
 	h       *streamHeader
 	total   int
 	workers int
 
-	slots []pipeSlot
+	slots []*pipeSlot     // nil after Close
+	decs  []*chunkDecoder // one per worker; nil after Close
 	// free holds one token per slot not held by the reader, a worker or
 	// the consumer; the reader takes one before framing each chunk.
 	free chan struct{}
@@ -109,20 +123,22 @@ func newPipelineSource(c *countingReader, h *streamHeader, total, workers int) *
 		h:       h,
 		total:   total,
 		workers: workers,
-		slots:   make([]pipeSlot, n),
+		slots:   make([]*pipeSlot, n),
+		decs:    make([]*chunkDecoder, workers),
 		free:    make(chan struct{}, n),
 		// Sized to the slot count, so the reader never blocks handing off.
 		jobs: make(chan *pipeSlot, n),
 		stop: make(chan struct{}),
 	}
 	for i := range s.slots {
-		s.slots[i].done = make(chan struct{}, 1)
+		s.slots[i] = slotPool.Get().(*pipeSlot)
 		s.free <- struct{}{}
 	}
 	s.wg.Add(1 + workers)
 	go s.readLoop(c)
-	for i := 0; i < workers; i++ {
-		go s.decodeLoop()
+	for i := range s.decs {
+		s.decs[i] = decoderPool.Get().(*chunkDecoder)
+		go s.decodeLoop(s.decs[i])
 	}
 	return s
 }
@@ -140,7 +156,7 @@ func (s *v2PipelineSource) Next() ([]Record, error) {
 	if s.next > 0 {
 		s.free <- struct{}{} // one token per slot: never blocks
 	}
-	sl := &s.slots[s.next%len(s.slots)]
+	sl := s.slots[s.next%len(s.slots)]
 	// Loaded before polling the slot: a chunk counted here is already
 	// done, so if this slot is not, a later chunk is.
 	later := s.decoded.Load() > uint64(s.next)
@@ -175,11 +191,26 @@ func (s *v2PipelineSource) Next() ([]Record, error) {
 }
 
 // Close stops every pipeline goroutine and waits for them all to exit, so
-// the caller may close the underlying reader afterwards.
+// the caller may close the underlying reader afterwards, then hands the
+// pipeline's buffers to the next stream opened; Next then reports io.EOF.
 func (s *v2PipelineSource) Close() error {
 	s.ended = true
-	s.closeOnce.Do(func() { close(s.stop) })
-	s.wg.Wait()
+	s.closeOnce.Do(func() {
+		close(s.stop)
+		s.wg.Wait()
+		for _, sl := range s.slots {
+			select {
+			case <-sl.done: // a signal the consumer never took
+			default:
+			}
+			*sl = pipeSlot{disk: sl.disk, recs: sl.recs, done: sl.done}
+			slotPool.Put(sl)
+		}
+		for _, d := range s.decs {
+			decoderPool.Put(d)
+		}
+		s.slots, s.decs = nil, nil
+	})
 	return nil
 }
 
@@ -223,7 +254,7 @@ func (s *v2PipelineSource) readLoop(c *countingReader) {
 			}
 			s.bufferStallNs.Add(uint64(time.Since(t0)))
 		}
-		sl := &s.slots[k%len(s.slots)]
+		sl := s.slots[k%len(s.slots)]
 		f, err := readChunkFrame(c)
 		switch {
 		case err != nil:
@@ -246,19 +277,21 @@ func (s *v2PipelineSource) readLoop(c *countingReader) {
 	}
 }
 
-// decodeLoop is one pool worker: decompress into its own scratch and
+// decodeLoop is one pool worker: decompress with its own decoder and
 // decode into the slot's record buffer. Decode errors ride the slot — Next
 // surfaces them in chunk order.
-func (s *v2PipelineSource) decodeLoop() {
+func (s *v2PipelineSource) decodeLoop(dec *chunkDecoder) {
 	defer s.wg.Done()
-	var dec chunkDecoder
+	// Allocated here rather than pooled: every record writes it, and the
+	// offsets of two workers allocated side by side on the opener's
+	// goroutine would share a cache line.
 	lastOffs := make([]uint64, len(s.h.areas))
 	for sl := range s.jobs {
 		f := sl.frame
 		payload, err := dec.inflatePayload(f, sl.disk)
 		if err == nil {
-			// A decode error drops the slot's buffer, but it also ends
-			// the stream at this slot, which is then never reused.
+			// A decode error drops the slot's buffer; the next stream
+			// to get the slot grows a new one.
 			clear(lastOffs)
 			sl.recs, sl.lastPeriod, err = decodeChunkPayload(payload, int(f.count), f.basePeriod,
 				s.h.areas, lastOffs, sl.recs, sl.recBase, f.payloadStart)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -38,7 +40,7 @@ func mkRandImage(rng *rand.Rand, n int) *Image {
 			Offset: off,
 			Op:     Op(rng.Intn(2)),
 			Size:   size,
-			Area:   uint32(area),
+			Area:   uint16(area),
 		})
 	}
 	return img
@@ -207,4 +209,53 @@ func TestPipelinedCloseMidStream(t *testing.T) {
 			t.Fatalf("trial %d: Next after Close = %v, want io.EOF", trial, err)
 		}
 	}
+}
+
+// TestConcurrentStreamsRecycle opens streams of differing area counts and
+// worker counts from several goroutines at once, some closed with chunks
+// still in flight, so recycled slots and worker scratch pass between
+// concurrent pipelines. Every drained stream must decode exactly; run it
+// under -race.
+func TestConcurrentStreamsRecycle(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	type input struct {
+		data []byte
+		recs []Record
+	}
+	var inputs []input
+	for i := 0; i < 4; i++ {
+		img := mkRandImage(rng, 500+rng.Intn(1500))
+		var buf bytes.Buffer
+		if err := EncodeV2(&buf, img, StreamOptions{ChunkRecords: 64 << i}); err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{buf.Bytes(), img.Records})
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				in := inputs[(g+i)%len(inputs)]
+				workers := 1 + (g+i)%3
+				if i%3 == 2 {
+					src, err := OpenStreamConfig(bytes.NewReader(in.data), StreamConfig{DecodeWorkers: workers})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					src.Next()
+					src.Close()
+					continue
+				}
+				got, err := openDrain(bytes.NewReader(in.data), workers)
+				if err != nil || !slices.Equal(got, in.recs) {
+					t.Errorf("goroutine %d cycle %d: %d records (err %v), want %d", g, i, len(got), err, len(in.recs))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -61,7 +61,12 @@ const (
 	// anything past them is corruption — reject it before allocating.
 	maxChunkRecords = 1 << 22
 	maxChunkBytes   = 1 << 28
-	maxAreas        = 1 << 20
+
+	// maxAreas is the most areas an image may have: as many as
+	// Record.Area, a uint16, can index. ValidateHeader enforces it on
+	// every writer and readStreamHeader on every reader, so no area index
+	// that reaches a Record is ever cut to 16 bits.
+	maxAreas = 1 << 16
 )
 
 // ErrCorrupt tags decode failures caused by malformed input (as opposed to
@@ -89,14 +94,17 @@ type RecordSource interface {
 }
 
 // ValidateHeader checks the header invariants shared by materialized
-// images and streams: a benchmark name and at least one area, every area
-// named and sized.
+// images and streams: a benchmark name, at least one area and at most
+// 65,536, every area named and sized.
 func ValidateHeader(benchmark string, areas []Area) error {
 	if benchmark == "" {
 		return errors.New("trace: image without benchmark name")
 	}
 	if len(areas) == 0 {
 		return errors.New("trace: image without areas")
+	}
+	if len(areas) > maxAreas {
+		return fmt.Errorf("trace: image has %d areas, limit %d", len(areas), maxAreas)
 	}
 	for i, a := range areas {
 		if a.Name == "" {
@@ -451,12 +459,20 @@ func (s *v1Source) Next() ([]Record, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Size and area are checked at full width: narrowed first, size
+		// 2^32+8 would pass as 8 and area 65,536+k as area k.
+		if sz > uint64(^uint32(0)) {
+			return nil, fmt.Errorf("trace: record %d has size %d: %w", idx, sz, ErrCorrupt)
+		}
 		batch[i].Size = uint32(sz)
 		ar, err := c.uvarint("record area")
 		if err != nil {
 			return nil, err
 		}
-		batch[i].Area = uint32(ar)
+		if ar >= uint64(len(s.h.areas)) {
+			return nil, fmt.Errorf("trace: record %d references area %d of %d: %w", idx, ar, len(s.h.areas), ErrCorrupt)
+		}
+		batch[i].Area = uint16(ar)
 		if err := validateRecord(batch[i], s.h.areas, prev, idx); err != nil {
 			return nil, err
 		}
@@ -723,13 +739,14 @@ func decodeChunkPayload(payload []byte, count int, basePeriod uint64, areas []Ar
 			return nil, 0, fmt.Errorf("trace: offset %d: record %d overruns area %q (%d+%d > %d): %w",
 				fileOff, recBase+i, areas[area].Name, off, size, areas[area].Size, ErrCorrupt)
 		}
-		recs[i] = Record{
-			Period: lastPeriod,
-			Offset: off,
-			Op:     op,
-			Size:   size,
-			Area:   uint32(area),
-		}
+		// Field by field: a composite literal is built on the stack and
+		// copied with wide loads that stall on its narrow stores.
+		r := &recs[i]
+		r.Period = lastPeriod
+		r.Offset = off
+		r.Size = size
+		r.Area = uint16(area) // area < nAreas <= maxAreas
+		r.Op = op
 	}
 	if pos != len(payload) {
 		return nil, 0, fmt.Errorf("trace: offset %d: chunk has %d trailing payload bytes after %d records: %w",

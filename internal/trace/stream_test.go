@@ -47,7 +47,7 @@ func mkRecord(i int, period uint64) Record {
 		Period: period,
 		Op:     Op(i % 2),
 		Size:   uint32(4 << (i % 4)),
-		Area:   uint32(i % 2),
+		Area:   uint16(i % 2),
 	}
 	if rec.Area == 0 {
 		rec.Offset = (uint64(i) * 2654435761) % (1<<24 - 64)
@@ -167,6 +167,29 @@ func TestOpenStreamV1Batches(t *testing.T) {
 	}
 	defer src.Close()
 	sameRecords(t, drain(t, src), img.Records)
+}
+
+// TestV1RefusesOverwideFields: the v1 decoder checks a record's size and
+// area varints at full width, so size 2^32+8 and area 2^32 are refused,
+// not read as size 8 and area 0.
+func TestV1RefusesOverwideFields(t *testing.T) {
+	seeds := v1OverwideSeeds()
+	for i, want := range []string{
+		"trace: record 0 has size 4294967304: corrupt trace",
+		"trace: record 0 references area 4294967296 of 1: corrupt trace",
+	} {
+		if _, err := Decode(bytes.NewReader(seeds[i])); err == nil || err.Error() != want || !errors.Is(err, ErrCorrupt) {
+			t.Errorf("Decode: err %v, want %q", err, want)
+		}
+		src, err := OpenStream(bytes.NewReader(seeds[i]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if recs, err := drainAll(src); len(recs) != 0 || err == nil || err.Error() != want {
+			t.Errorf("OpenStream: %d records, err %v, want %q", len(recs), err, want)
+		}
+		src.Close()
+	}
 }
 
 // nonSeeker hides the Seeker of a bytes.Reader, modelling a pipe.
@@ -662,10 +685,10 @@ func TestStreamDecodeBoundedMemory(t *testing.T) {
 	growth := peak - base
 	t.Logf("streaming: peak live heap growth %d KiB over %d records (%d KiB materialized)",
 		growth/1024, n, recordBytes/1024)
-	// Each of the workers+2 slots holds a 2 MiB record buffer (64K records
-	// at 32 B/record) and its compressed payload; allow as much again for
-	// those payloads and the workers' inflate scratch, 16 MiB in all — a
-	// quarter of the 64 MiB record slice.
+	// Each of the workers+2 slots holds a 1.5 MiB record buffer (64K
+	// records at 24 B/record) and its compressed payload; allow as much
+	// again for those payloads and the workers' inflate scratch, 12 MiB in
+	// all — a quarter of the 48 MiB record slice.
 	slotBytes := uint64(DefaultChunkRecords) * uint64(unsafe.Sizeof(Record{}))
 	if bound := 2 * (workers + 2) * slotBytes; growth > bound {
 		t.Fatalf("streaming held %d B live, more than %d B for %d ring slots", growth, bound, workers+2)

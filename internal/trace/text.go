@@ -88,7 +88,7 @@ func DecodeText(r io.Reader) (*Image, error) {
 			if err != nil {
 				return nil, fmt.Errorf("trace: line %d: period: %w", lineNo, err)
 			}
-			area, err := strconv.ParseUint(fields[1], 10, 32)
+			area, err := strconv.ParseUint(fields[1], 10, 16)
 			if err != nil {
 				return nil, fmt.Errorf("trace: line %d: area: %w", lineNo, err)
 			}
@@ -111,7 +111,7 @@ func DecodeText(r io.Reader) (*Image, error) {
 			}
 			img.Records = append(img.Records, Record{
 				Period: period,
-				Area:   uint32(area),
+				Area:   uint16(area),
 				Offset: offset,
 				Op:     op,
 				Size:   uint32(size),

@@ -31,15 +31,19 @@ func (o Op) String() string {
 //
 //	Period — logical time of the access (instruction count at capture)
 //	Offset — byte offset of the access within its memory area
-//	Op     — read or write
 //	Size   — access size in bytes
 //	Area   — index into the image's area table (which heap/stack area)
+//	Op     — read or write
+//
+// The fields are ordered widest first so a record packs into 24 bytes
+// (8+8+4+2+1, one byte of tail padding); a trace holds millions of them.
+// Area is 16 bits wide, which is why an image has at most 65,536 areas.
 type Record struct {
 	Period uint64
 	Offset uint64
-	Op     Op
 	Size   uint32
-	Area   uint32
+	Area   uint16
+	Op     Op
 }
 
 // Area describes one memory region of the traced application, as captured

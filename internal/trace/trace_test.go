@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func sample() *Image {
@@ -46,6 +47,87 @@ func TestRoundTrip(t *testing.T) {
 	for i := range img.Areas {
 		if got.Areas[i] != img.Areas[i] {
 			t.Fatalf("area %d mismatch", i)
+		}
+	}
+}
+
+// TestRecordLayout pins Record at 24 bytes: every trace the process holds
+// is an array of them, so a field that grows the record grows them all.
+func TestRecordLayout(t *testing.T) {
+	if n := unsafe.Sizeof(Record{}); n != 24 {
+		t.Fatalf("Record is %d bytes, want 24", n)
+	}
+}
+
+// TestAreaLimit: an image has at most 65,536 areas, as many as the 16-bit
+// Record.Area indexes. Every writer refuses one more, every binary reader
+// refuses a header that declares one more, and the text reader refuses an
+// area index that does not fit.
+func TestAreaLimit(t *testing.T) {
+	areas := make([]Area, maxAreas+1)
+	for i := range areas {
+		areas[i] = Area{Name: "a", Size: 4096}
+	}
+	if err := ValidateHeader("b", areas[:maxAreas]); err != nil {
+		t.Fatalf("ValidateHeader refused %d areas: %v", maxAreas, err)
+	}
+	// The last index of a full table survives both binary formats.
+	full := &Image{Benchmark: "b", Areas: areas[:maxAreas], Records: []Record{{Period: 1, Size: 8, Area: maxAreas - 1}}}
+	var v1ok, v2ok bytes.Buffer
+	if err := Encode(&v1ok, full); err != nil {
+		t.Fatal(err)
+	}
+	if err := EncodeV2(&v2ok, full, StreamOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, data := range [][]byte{v1ok.Bytes(), v2ok.Bytes()} {
+		img, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(img.Records) != 1 || img.Records[0] != full.Records[0] {
+			t.Fatalf("decoded %+v, want %+v", img.Records, full.Records)
+		}
+	}
+
+	over := &Image{Benchmark: "b", Areas: areas, Records: []Record{{Period: 1, Size: 8}}}
+	header := func(version uint32) []byte {
+		p, err := appendHeader(nil, version, "b", areas)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append(p, 0) // no records, or the chunk terminator
+	}
+	v1, v2 := header(formatVer), header(formatVer2)
+	const (
+		written = "image has 65537 areas, limit 65536"
+		read    = "area count 65537 exceeds limit 65536"
+	)
+	for _, c := range []struct {
+		name string
+		want string
+		run  func() error
+	}{
+		{"ValidateHeader", written, func() error { return ValidateHeader("b", areas) }},
+		{"Encode", written, func() error { return Encode(io.Discard, over) }},
+		{"EncodeV2", written, func() error { return EncodeV2(io.Discard, over, StreamOptions{}) }},
+		{"NewStreamWriter", written, func() error {
+			_, err := NewStreamWriter(io.Discard, "b", areas, StreamOptions{})
+			return err
+		}},
+		{"OpenStream v1", read, func() error { _, err := OpenStream(bytes.NewReader(v1)); return err }},
+		{"OpenStream v2", read, func() error { _, err := OpenStream(bytes.NewReader(v2)); return err }},
+		{"Decode v1", read, func() error { _, err := Decode(bytes.NewReader(v1)); return err }},
+		{"Decode v2", read, func() error { _, err := Decode(bytes.NewReader(v2)); return err }},
+		{"ScanChunkIndex v1", read, func() error { _, err := ScanChunkIndex(bytes.NewReader(v1)); return err }},
+		{"ScanChunkIndex v2", read, func() error { _, err := ScanChunkIndex(bytes.NewReader(v2)); return err }},
+		{"DecodeText", `area: strconv.ParseUint: parsing "65536": value out of range`, func() error {
+			_, err := DecodeText(strings.NewReader("benchmark b\narea a 4096 0 1\n1 65536 0 R 8\n"))
+			return err
+		}},
+	} {
+		if err := c.run(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err %v, want %q", c.name, err, c.want)
 		}
 	}
 }
@@ -283,7 +365,7 @@ func goldenImage() *Image {
 	offs := []uint64{0, 1, 63, 64, 127, 128, 4095, 16383, 65528, 300, 70, 8}
 	period := uint64(1)
 	for i := 0; i < 64; i++ {
-		area := uint32(i % 3)
+		area := uint16(i % 3)
 		limit := img.Areas[area].Size
 		off := offs[i%len(offs)] % (limit - 8)
 		op := Read

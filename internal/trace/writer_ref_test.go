@@ -306,16 +306,16 @@ func writerProgram(data []byte) (opt StreamOptions, failAt uint64, recs []Record
 		size := 1 + uint64(b2)%min(fuzzWriterAreas[a].Size, 64)
 		off := (uint64(b1)*8191 + uint64(b2)*131) % (fuzzWriterAreas[a].Size - size + 1)
 		last += uint64(b0>>5) * uint64(b0>>5) * 37 // multi-byte deltas too
-		return Record{Period: last, Offset: off, Op: Op(b0 & 1), Size: uint32(size), Area: uint32(a)}
+		return Record{Period: last, Offset: off, Op: Op(b0 & 1), Size: uint32(size), Area: uint16(a)}
 	}
-	bad := uint32(len(fuzzWriterAreas))
+	bad := uint16(len(fuzzWriterAreas))
 	for i := 4; i+3 < len(data) && len(recs) < limit; i += 4 {
 		b0, b1, b2 := data[i+1], data[i+2], data[i+3]
 		switch data[i] % 8 {
 		case 0:
-			recs = append(recs, Record{Period: last, Size: 1, Area: bad + uint32(b2)})
+			recs = append(recs, Record{Period: last, Size: 1, Area: bad + uint16(b2)})
 		case 1:
-			recs = append(recs, Record{Period: last, Area: uint32(int(b1) % len(fuzzWriterAreas))})
+			recs = append(recs, Record{Period: last, Area: uint16(int(b1) % len(fuzzWriterAreas))})
 		case 2:
 			if last == 0 {
 				recs = append(recs, Record{Size: 1, Area: bad})

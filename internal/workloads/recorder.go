@@ -90,16 +90,21 @@ func (r *Recorder) record(area int, off uint64, op trace.Op, size uint32) {
 		return
 	}
 	r.period++
+	// An area index past 16 bits is cut here, but only in a table of more
+	// than 65,536 areas: Image refuses it, and ValidateHeader stops a
+	// stream before its sink opens.
 	rec := trace.Record{
 		Period: r.period,
 		Offset: off,
-		Op:     op,
 		Size:   size,
-		Area:   uint32(area),
+		Area:   uint16(area),
+		Op:     op,
 	}
 	if r.sinkOpen != nil {
 		if r.sink == nil {
-			r.sink, r.sinkErr = r.sinkOpen(r.img.Benchmark, r.img.Areas)
+			if r.sinkErr = trace.ValidateHeader(r.img.Benchmark, r.img.Areas); r.sinkErr == nil {
+				r.sink, r.sinkErr = r.sinkOpen(r.img.Benchmark, r.img.Areas)
+			}
 			if r.sinkErr != nil {
 				r.sinkOpen = nil
 				return

@@ -191,6 +191,29 @@ func TestRecorderLimit(t *testing.T) {
 	}
 }
 
+// TestRecorderRefusesTooManyAreas: a table of more areas than the 16-bit
+// Record.Area can index is refused, materialized or streamed, and the sink
+// never sees a record whose area index was cut.
+func TestRecorderRefusesTooManyAreas(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		rec := NewRecorder("x", 0)
+		for i := 0; i <= 1<<16; i++ {
+			rec.AddArea("a", 4096, false, true)
+		}
+		col := &recordCollector{}
+		if stream {
+			rec.StreamTo(func(string, []trace.Area) (trace.RecordSink, error) { return col, nil })
+		}
+		rec.Store(1<<16, 0, 8)
+		if _, err := rec.Image(); err == nil {
+			t.Errorf("stream %v: image of %d areas accepted", stream, 1<<16+1)
+		}
+		if len(col.records) != 0 {
+			t.Errorf("stream %v: sink received %d records", stream, len(col.records))
+		}
+	}
+}
+
 func TestRecorderPeriodsMonotone(t *testing.T) {
 	img, _ := SSSP(SmallSSSP())
 	last := uint64(0)
@@ -266,7 +289,7 @@ func TestYCSBMTPerThreadStacks(t *testing.T) {
 	checkMix(t, img, 71)
 	// Interleaving: records from different thread stacks alternate in
 	// bursts, never one thread monopolizing the whole trace.
-	seen := map[uint32]bool{}
+	seen := map[uint16]bool{}
 	for _, r := range img.Records[:20000] {
 		if img.Areas[r.Area].NVM {
 			continue
