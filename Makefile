@@ -36,9 +36,12 @@ check: fmt vet race evalgolden allocguard cpusweep benchsmoke perfbenchsmoke cra
 evalgolden:
 	$(GO) test -count=1 -run TestGoldenEvaluation .
 
-# allocguard pins the replay fast path's zero-allocation steady state and
-# the recycling of decode state across reopened streams and chunk ranges
-# (see allocguard_test.go); it needs a non-race build because race
+# allocguard pins the replay fast path's zero-allocation steady state, the
+# recycling of decode state across reopened streams and chunk ranges
+# (TestStreamReopenZeroAlloc, TestRangeReopenZeroAlloc: every warm cycle
+# within a few KiB) and of cache and TLB storage across sharded segments
+# (TestShardedReplayZeroAlloc: at most 200 KiB per warm segment); see
+# allocguard_test.go. It needs a non-race build because race
 # instrumentation changes allocation counts.
 allocguard:
 	$(GO) test -run ZeroAlloc .

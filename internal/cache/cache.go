@@ -17,6 +17,7 @@ import (
 
 	"kindle/internal/mem"
 	"kindle/internal/sim"
+	"kindle/internal/spare"
 )
 
 // Level is a single set-associative cache.
@@ -54,12 +55,21 @@ type Config struct {
 	Latency sim.Cycles // access (hit) latency
 }
 
-// NewLevel builds one cache level. Size must be a non-zero multiple of
+// spareLines holds the tag stores of released levels, filed by length,
+// for the next level built with as many lines (see Hierarchy.Release).
+var spareLines spare.List[int, []uint64]
+
+// NewLevel builds one cache level, on a released level's tag store when
+// one of its size is spare. Size must be a non-zero multiple of
 // Ways*LineSize.
 func NewLevel(cfg Config, stats *sim.Stats) *Level {
 	linesTotal := int(cfg.Size / mem.LineSize)
 	if cfg.Ways <= 0 || linesTotal == 0 || linesTotal%cfg.Ways != 0 {
 		panic(fmt.Sprintf("cache: bad geometry for %s: %d lines, %d ways", cfg.Name, linesTotal, cfg.Ways))
+	}
+	lines, ok := spareLines.Get(linesTotal)
+	if !ok {
+		lines = make([]uint64, linesTotal)
 	}
 	sets := linesTotal / cfg.Ways
 	l := &Level{
@@ -67,13 +77,13 @@ func NewLevel(cfg Config, stats *sim.Stats) *Level {
 		sets:    sets,
 		ways:    cfg.Ways,
 		latency: cfg.Latency,
-		lines:   make([]uint64, linesTotal),
+		lines:   lines,
 		evicts:  stats.Counter("cache." + cfg.Name + ".evict"),
 	}
 	if sets&(sets-1) == 0 {
 		l.setMask = uint64(sets - 1)
 	}
-	l.reset()
+	l.reset() // every way, recycled or fresh, starts empty
 	return l
 }
 
@@ -183,5 +193,15 @@ func (l *Level) mark(addr mem.PhysAddr, dirty uint64) (present, wasDirty bool) {
 func (l *Level) reset() {
 	for i := range l.lines {
 		l.lines[i] = emptyWay
+	}
+}
+
+// release hands the level's tag store to the next level built with as many
+// lines and leaves this one without, so any later lookup panics instead of
+// reading a store another level owns. Releasing twice is harmless.
+func (l *Level) release() {
+	if l.lines != nil {
+		spareLines.Put(len(l.lines), l.lines)
+		l.lines = nil
 	}
 }

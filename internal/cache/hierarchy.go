@@ -258,3 +258,12 @@ func (h *Hierarchy) Reset() {
 	h.l2.reset()
 	h.llc.reset()
 }
+
+// Release hands the three tag stores to the next hierarchy built with the
+// same level sizes. The hierarchy must not be used again: every access to
+// it panics. A capture taken earlier holds copies and stays valid.
+func (h *Hierarchy) Release() {
+	h.l1.release()
+	h.l2.release()
+	h.llc.release()
+}

@@ -164,7 +164,9 @@ func ReplayShardedFile(path string, opt ShardedOptions) (*ShardedResult, error) 
 }
 
 // replaySegment replays chunks [lo, hi) on a cold-booted framework and
-// returns its stats registry, record count and final clock.
+// returns its stats registry, record count and final clock. The machine is
+// released once they are taken, so the next segment's machine boots on its
+// cache tag stores and TLB storage.
 func replaySegment(ix *trace.ChunkIndex, open func() (io.ReadSeeker, error), lo, hi int, cfg machine.Config, report func(delta int)) (*sim.Stats, int, sim.Cycles, error) {
 	rs, err := open()
 	if err != nil {
@@ -177,6 +179,7 @@ func replaySegment(ix *trace.ChunkIndex, open func() (io.ReadSeeker, error), lo,
 	}
 	defer src.Close()
 	f := New(cfg)
+	defer f.M.Release()
 	_, rep, err := f.LaunchStream(src)
 	if err != nil {
 		return nil, 0, 0, err

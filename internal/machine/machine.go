@@ -163,6 +163,18 @@ func (m *Machine) Crash() {
 	m.Stats.Inc("machine.crashes")
 }
 
+// Release hands the machine's fixed-geometry storage, its cache tag stores
+// and its TLB arrays, to the next machine built with the same cache and TLB
+// geometry, which re-initialises every word of it. The machine must not be
+// used again: its caches and TLB are left without storage, so an access
+// panics rather than touching storage another machine now owns. The stats
+// registry, the clock and the frame store are not handed on, so values
+// read from them before or after Release stay valid, as do snapshots.
+func (m *Machine) Release() {
+	m.Hier.Release()
+	m.TLB.Release()
+}
+
 // BootGeneration returns how many times the machine has crashed/rebooted.
 func (m *Machine) BootGeneration() int { return m.booted }
 

@@ -13,6 +13,7 @@ import (
 
 	"kindle/internal/mem"
 	"kindle/internal/sim"
+	"kindle/internal/spare"
 )
 
 // Entry is one TLB translation with Kindle's prototype extensions.
@@ -88,14 +89,21 @@ type level struct {
 	ways    int
 	latency sim.Cycles
 
-	words []uint64
-	slots []uint16
-	lens  []int32
-	at    []uint16 // indexed by pool index; shared by both levels
+	levelStore
+	at []uint16 // indexed by pool index; shared by both levels
 
 	evicts *sim.Counter // "tlb.<name>.evict", resolved once
 }
 
+// levelStore is a level's storage, sized by its geometry.
+type levelStore struct {
+	words []uint64
+	slots []uint16
+	lens  []int32
+}
+
+// newLevel checks cfg and builds a level without storage; New gives it
+// some.
 func newLevel(cfg Config, stats *sim.Stats) level {
 	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
 		panic(fmt.Sprintf("tlb: bad geometry for %s", cfg.Name))
@@ -106,15 +114,20 @@ func newLevel(cfg Config, stats *sim.Stats) level {
 		sets:    sets,
 		ways:    cfg.Ways,
 		latency: cfg.Latency,
-		words:   make([]uint64, cfg.Entries),
-		slots:   make([]uint16, cfg.Entries),
-		lens:    make([]int32, sets),
 		evicts:  stats.Counter("tlb." + cfg.Name + ".evict"),
 	}
 	if sets&(sets-1) == 0 {
 		l.setMask = uint64(sets - 1)
 	}
 	return l
+}
+
+func (l *level) newStore() levelStore {
+	return levelStore{
+		words: make([]uint64, l.sets*l.ways),
+		slots: make([]uint16, l.sets*l.ways),
+		lens:  make([]int32, l.sets),
+	}
 }
 
 func (l *level) setIndex(vpn uint64) int {
@@ -208,6 +221,7 @@ func (l *level) forEach(pool []Entry, fn func(e *Entry)) {
 // exclusive: a translation is resident in at most one of them.
 type TLB struct {
 	l1, l2  level
+	geom    geometry
 	onEvict EvictFn
 
 	// pool holds every live translation at a fixed index, and
@@ -230,12 +244,30 @@ func DefaultConfigL1() Config { return Config{Name: "l1", Entries: 64, Ways: 4, 
 // DefaultConfigL2 is a 1536-entry 12-way STLB with 7-cycle lookup.
 func DefaultConfigL2() Config { return Config{Name: "l2", Entries: 1536, Ways: 12, Latency: 7} }
 
-// New builds the two-level TLB. It panics on a level without entries, on
+// store is all of a TLB's storage, every array sized by the geometry of
+// its two levels: what New allocates and Release hands on.
+type store struct {
+	l1, l2   levelStore
+	pool     []Entry
+	free, at []uint16
+}
+
+// geometry files spare stores: TLBs of one geometry have stores of one
+// size.
+type geometry struct{ entries1, ways1, entries2, ways2 int }
+
+// spareStores holds released TLBs' stores for the next TLB of their
+// geometry (see Release).
+var spareStores spare.List[geometry, store]
+
+// New builds the two-level TLB, on a released TLB's storage when one of
+// this geometry is spare. It panics on a level without entries, on
 // entries that do not divide into ways, and on levels too large together
 // for a pool index to name every entry.
 func New(l1, l2 Config, stats *sim.Stats) *TLB {
 	t := &TLB{
 		l1: newLevel(l1, stats), l2: newLevel(l2, stats),
+		geom:  geometry{l1.Entries, l1.Ways, l2.Entries, l2.Ways},
 		l1Hit: stats.Counter("tlb.l1.hit"), l1Miss: stats.Counter("tlb.l1.miss"),
 		l2Hit: stats.Counter("tlb.l2.hit"), l2Miss: stats.Counter("tlb.l2.miss"),
 		invalidates: stats.Counter("tlb.invalidate"),
@@ -246,12 +278,46 @@ func New(l1, l2 Config, stats *sim.Stats) *TLB {
 		panic(fmt.Sprintf("tlb: %s and %s hold %d entries, more than %d-bit pool indices can name",
 			l1.Name, l2.Name, n-1, idxBits))
 	}
-	t.pool = make([]Entry, n)
-	t.free = make([]uint16, n)
-	t.l1.at = make([]uint16, n)
-	t.l2.at = t.l1.at
+	st, ok := spareStores.Get(t.geom)
+	if ok {
+		// Every word as a fresh allocation leaves it: zero, except the
+		// free list, which freeAll rebuilds below either way.
+		for _, ls := range []levelStore{st.l1, st.l2} {
+			clear(ls.words)
+			clear(ls.slots)
+			clear(ls.lens)
+		}
+		clear(st.pool)
+		clear(st.at)
+	} else {
+		st = store{
+			l1:   t.l1.newStore(),
+			l2:   t.l2.newStore(),
+			pool: make([]Entry, n),
+			free: make([]uint16, n),
+			at:   make([]uint16, n),
+		}
+	}
+	t.l1.levelStore, t.l2.levelStore = st.l1, st.l2
+	t.pool, t.free = st.pool, st.free
+	t.l1.at, t.l2.at = st.at, st.at
 	t.freeAll()
 	return t
+}
+
+// Release hands the TLB's storage to the next TLB built with the same
+// geometry. The TLB must not be used again: every lookup, insert or
+// invalidation panics, and entries it returned are no longer its own. A
+// capture taken earlier holds copies and stays valid. Releasing twice is
+// harmless.
+func (t *TLB) Release() {
+	if t.pool == nil {
+		return
+	}
+	spareStores.Put(t.geom, store{l1: t.l1.levelStore, l2: t.l2.levelStore, pool: t.pool, free: t.free, at: t.l1.at})
+	t.l1.levelStore, t.l2.levelStore = levelStore{}, levelStore{}
+	t.pool, t.free = nil, nil
+	t.l1.at, t.l2.at = nil, nil
 }
 
 // NewDefault builds the TLB with default geometry.

@@ -1,10 +1,10 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"sync"
+
+	"kindle/internal/spare"
 )
 
 // Chunk-range access: sharded replay partitions a v2 image by chunk, so it
@@ -116,8 +116,12 @@ func (ix *ChunkIndex) OpenRange(rs io.ReadSeeker, lo, hi int) (RecordSource, err
 		if _, err := rs.Seek(ix.Chunks[lo].Offset, io.SeekStart); err != nil {
 			return nil, fmt.Errorf("trace: seeking to chunk %d: %w", lo, err)
 		}
-		s.st = rangeStates.Get().(*rangeState)
-		s.st.reset(rs, ix.Chunks[lo].Offset, len(ix.Areas))
+		st, ok := rangeStates.Get(struct{}{})
+		if !ok {
+			st = new(rangeState)
+		}
+		st.reset(rs, ix.Chunks[lo].Offset, len(ix.Areas))
+		s.st = st
 		s.lastPeriod = ix.Chunks[lo].BasePeriod
 		for _, ref := range ix.Chunks[:lo] {
 			s.recBase += ref.Records
@@ -137,17 +141,14 @@ type rangeState struct {
 	recs     []Record
 }
 
-var rangeStates = sync.Pool{New: func() any { return new(rangeState) }}
+// rangeStates holds closed ranges' states; see package spare for its
+// bound.
+var rangeStates spare.List[struct{}, *rangeState]
 
 // reset points the state at rs, positioned at file offset off, for an
 // image of nAreas areas.
 func (st *rangeState) reset(rs io.Reader, off int64, nAreas int) {
-	if st.c.r == nil {
-		st.c.r = bufio.NewReaderSize(rs, 1<<16)
-	} else {
-		st.c.r.Reset(rs)
-	}
-	st.c.off = off
+	st.c.reset(rs, off)
 	if cap(st.lastOffs) < nAreas {
 		st.lastOffs = make([]uint64, nAreas)
 	}
@@ -175,7 +176,7 @@ func (s *v2RangeSource) Total() int        { return s.total }
 func (s *v2RangeSource) Close() error {
 	if s.st != nil {
 		s.st.c.r.Reset(nil) // do not pin the caller's reader
-		rangeStates.Put(s.st)
+		rangeStates.Put(struct{}{}, s.st)
 		s.st = nil
 	}
 	s.next = s.hi

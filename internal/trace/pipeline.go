@@ -23,9 +23,9 @@ import (
 // the exact error order — of a sequential decode. The reader reuses a slot
 // only after Next has released the chunk it held, so the ring bounds
 // resident chunks and the warm steady state allocates nothing (the
-// zero-alloc CI guards pin this). Close hands the ring's buffers and the
-// workers' inflaters to the next stream opened, so a process that opens
-// stream after stream allocates them once.
+// zero-alloc CI guards pin this). Close hands the buffered reader, the
+// ring's buffers and the workers' inflaters to the next stream opened, so a
+// process that opens stream after stream allocates them once.
 
 // DecodeStats samples the pipelined decoder's progress and stall counters.
 // Stalls localize the bottleneck: reorder stalls mean the consumer waited on
@@ -72,25 +72,18 @@ type pipeSlot struct {
 	done       chan struct{}
 }
 
-// Close hands every slot, with its disk and record buffers, and every
-// worker's inflater and raw buffer to the next stream opened through these
-// pools. They are pooled one by one, not as one pipeline: a sync.Pool keeps
-// the first item put on a P where a Get on another P cannot reach it, so a
-// stream opened on another P misses one slot and one decoder, not every
-// buffer.
-var (
-	slotPool    = sync.Pool{New: func() any { return &pipeSlot{done: make(chan struct{}, 1)} }}
-	decoderPool = sync.Pool{New: func() any { return new(chunkDecoder) }}
-)
-
-// v2PipelineSource is the v2 decoder behind OpenStreamConfig.
+// v2PipelineSource is the v2 decoder behind OpenStreamConfig. Its slots
+// and decoders come from a closed stream's state (streamState) when one is
+// spare, and Close hands them, with the reader, to the next stream opened
+// as one state.
 type v2PipelineSource struct {
 	h       *streamHeader
 	total   int
 	workers int
 
-	slots []*pipeSlot     // nil after Close
-	decs  []*chunkDecoder // one per worker; nil after Close
+	st    *streamState    // nil after Close
+	slots []*pipeSlot     // st's first workers+2 slots; nil after Close
+	decs  []*chunkDecoder // st's first workers decoders; nil after Close
 	// free holds one token per slot not held by the reader, a worker or
 	// the consumer; the reader takes one before framing each chunk.
 	free chan struct{}
@@ -116,29 +109,35 @@ type v2PipelineSource struct {
 // newPipelineSource starts the decode pipeline: one reader and workers
 // decoders over a ring of workers+2 slots — one per worker, one for the
 // batch the consumer holds, and one the reader frames ahead so the workers
-// never wait on framing. The reader owns c until the pipeline stops.
-func newPipelineSource(c *countingReader, h *streamHeader, total, workers int) *v2PipelineSource {
+// never wait on framing. The pipeline owns st until Close, and the reader
+// owns st.c until the pipeline stops.
+func newPipelineSource(st *streamState, h *streamHeader, total, workers int) *v2PipelineSource {
 	n := workers + 2
+	for len(st.slots) < n {
+		st.slots = append(st.slots, &pipeSlot{done: make(chan struct{}, 1)})
+	}
+	for len(st.decs) < workers {
+		st.decs = append(st.decs, new(chunkDecoder))
+	}
 	s := &v2PipelineSource{
 		h:       h,
 		total:   total,
 		workers: workers,
-		slots:   make([]*pipeSlot, n),
-		decs:    make([]*chunkDecoder, workers),
+		st:      st,
+		slots:   st.slots[:n],
+		decs:    st.decs[:workers],
 		free:    make(chan struct{}, n),
 		// Sized to the slot count, so the reader never blocks handing off.
 		jobs: make(chan *pipeSlot, n),
 		stop: make(chan struct{}),
 	}
-	for i := range s.slots {
-		s.slots[i] = slotPool.Get().(*pipeSlot)
+	for range s.slots {
 		s.free <- struct{}{}
 	}
 	s.wg.Add(1 + workers)
-	go s.readLoop(c)
-	for i := range s.decs {
-		s.decs[i] = decoderPool.Get().(*chunkDecoder)
-		go s.decodeLoop(s.decs[i])
+	go s.readLoop(&st.c)
+	for _, d := range s.decs {
+		go s.decodeLoop(d)
 	}
 	return s
 }
@@ -192,7 +191,8 @@ func (s *v2PipelineSource) Next() ([]Record, error) {
 
 // Close stops every pipeline goroutine and waits for them all to exit, so
 // the caller may close the underlying reader afterwards, then hands the
-// pipeline's buffers to the next stream opened; Next then reports io.EOF.
+// reader and the pipeline's buffers to the next stream opened; Next then
+// reports io.EOF.
 func (s *v2PipelineSource) Close() error {
 	s.ended = true
 	s.closeOnce.Do(func() {
@@ -204,12 +204,22 @@ func (s *v2PipelineSource) Close() error {
 			default:
 			}
 			*sl = pipeSlot{disk: sl.disk, recs: sl.recs, done: sl.done}
-			slotPool.Put(sl)
+		}
+		// Chunk k always lands in slot k mod n, but any worker may decode
+		// it: a worker that met only smaller chunks than another would
+		// regrow its raw buffer when a later stream over the same image
+		// hands it a larger one. Grow each to the largest now.
+		largest := 0
+		for _, d := range s.decs {
+			largest = max(largest, cap(d.raw))
 		}
 		for _, d := range s.decs {
-			decoderPool.Put(d)
+			if cap(d.raw) < largest {
+				d.raw = make([]byte, largest)
+			}
 		}
-		s.slots, s.decs = nil, nil
+		s.st.put()
+		s.st, s.slots, s.decs = nil, nil, nil
 	})
 	return nil
 }

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+
+	"kindle/internal/spare"
 )
 
 // Stream format (version 2): the chunked, varint-delta-compressed on-disk
@@ -154,7 +156,21 @@ type countingReader struct {
 }
 
 func newCountingReader(r io.Reader) *countingReader {
-	return &countingReader{r: bufio.NewReaderSize(r, 1<<16)}
+	c := new(countingReader)
+	c.reset(r, 0)
+	return c
+}
+
+// reset points c at r, whose next byte sits at file offset off. The first
+// reset allocates c's 64 KiB buffer and later ones reuse it. The buffer is
+// always c's own, never a bufio.Reader the caller passed in, so a recycled
+// decode state never shares one with its caller.
+func (c *countingReader) reset(r io.Reader, off int64) {
+	if c.r == nil {
+		c.r = bufio.NewReaderSize(nil, 1<<16)
+	}
+	c.r.Reset(r)
+	c.off = off
 }
 
 func (c *countingReader) ReadByte() (byte, error) {
@@ -297,28 +313,61 @@ func OpenStreamConfig(r io.Reader, cfg StreamConfig) (RecordSource, error) {
 			total = t
 		}
 	}
-	c := newCountingReader(r)
-	h, err := readStreamHeader(c)
+	st := getStreamState(r)
+	h, err := readStreamHeader(&st.c)
 	if err != nil {
+		st.put()
 		return nil, err
 	}
-	switch h.version {
-	case formatVer:
-		n, err := c.uvarint("record count")
+	if h.version == formatVer {
+		n, err := st.c.uvarint("record count")
+		if err == nil && n > 1<<62 {
+			err = fmt.Errorf("trace: offset %d: implausible record count %d: %w", st.c.off, n, ErrCorrupt)
+		}
 		if err != nil {
+			st.put()
 			return nil, err
 		}
-		if n > 1<<62 {
-			return nil, fmt.Errorf("trace: offset %d: implausible record count %d: %w", c.off, n, ErrCorrupt)
-		}
-		return &v1Source{c: c, h: h, total: int(n)}, nil
-	default:
-		workers := cfg.DecodeWorkers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		return newPipelineSource(c, h, total, workers), nil
+		return &v1Source{st: st, h: h, total: int(n)}, nil
 	}
+	workers := cfg.DecodeWorkers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return newPipelineSource(st, h, total, workers), nil
+}
+
+// streamState is what a closed stream hands to the next one opened: the
+// buffered reader, and either the decode pool's slots (each with its disk
+// and record buffers) and decoders (each with its inflater and raw buffer)
+// or a v1 stream's record batch. Each buffer grows to the largest chunk it
+// has seen.
+type streamState struct {
+	c     countingReader
+	slots []*pipeSlot
+	decs  []*chunkDecoder
+	batch []Record
+}
+
+// streamStates holds closed streams' states; see package spare for its
+// bound.
+var streamStates spare.List[struct{}, *streamState]
+
+// getStreamState takes a closed stream's state, or a new one, and points
+// its reader at r.
+func getStreamState(r io.Reader) *streamState {
+	st, ok := streamStates.Get(struct{}{})
+	if !ok {
+		st = new(streamState)
+	}
+	st.c.reset(r, 0)
+	return st
+}
+
+// put hands st to the next stream opened; the caller must not use it again.
+func (st *streamState) put() {
+	st.c.r.Reset(nil) // do not pin the caller's reader
+	streamStates.Put(struct{}{}, st)
 }
 
 // readV2FooterTotal fetches the total record count from a seekable v2
@@ -411,29 +460,38 @@ func (s *imageSource) Next() ([]Record, error) {
 // demand into one reusable batch, so even the legacy format replays
 // without materializing.
 type v1Source struct {
-	c          *countingReader
+	st         *streamState // nil after Close
 	h          *streamHeader
 	total      int
 	read       int
 	lastPeriod uint64
-	batch      []Record
 }
 
 func (s *v1Source) Benchmark() string { return s.h.benchmark }
 func (s *v1Source) Areas() []Area     { return s.h.areas }
 func (s *v1Source) Total() int        { return s.total }
-func (s *v1Source) Close() error      { return nil }
+
+// Close hands the reader and batch to the next stream opened; Next then
+// reports io.EOF.
+func (s *v1Source) Close() error {
+	if s.st != nil {
+		s.st.put()
+		s.st = nil
+	}
+	s.read = s.total
+	return nil
+}
 
 func (s *v1Source) Next() ([]Record, error) {
 	if s.read >= s.total {
 		return nil, io.EOF
 	}
 	n := min(s.total-s.read, DefaultChunkRecords)
-	if cap(s.batch) < n {
-		s.batch = make([]Record, n)
+	if cap(s.st.batch) < n {
+		s.st.batch = make([]Record, n)
 	}
-	batch := s.batch[:n]
-	c := s.c
+	batch := s.st.batch[:n]
+	c := &s.st.c
 	// Field labels are static: formatting the record index into every
 	// context string allocated four strings per record on the happy path.
 	// The error's byte offset (and validateRecord's index) still localize
@@ -554,13 +612,22 @@ func errBasePeriodBackwards(f chunkFrame, lastPeriod uint64) error {
 	return fmt.Errorf("trace: offset %d: chunk base period goes backwards (%d < %d): %w", f.basePeriodOff, f.basePeriod, lastPeriod, ErrCorrupt)
 }
 
+// grow returns buf resliced to n elements. A buffer too short is replaced
+// by one at least twice as long, but no longer than limit, the decoder's
+// hard limit on n: a buffer meeting larger and larger chunks reallocates a
+// logarithmic number of times rather than at each new maximum, and a
+// corrupt frame still cannot make it allocate past the limit.
+func grow[T any](buf []T, n, limit int) []T {
+	if cap(buf) < n {
+		buf = make([]T, max(n, min(2*cap(buf), limit)))
+	}
+	return buf[:n]
+}
+
 // readDisk reads the frame's on-disk payload into buf, grown to the
 // largest chunk and reused after that.
 func readDisk(c *countingReader, f chunkFrame, buf []byte) ([]byte, error) {
-	if uint64(cap(buf)) < f.diskLen {
-		buf = make([]byte, f.diskLen)
-	}
-	buf = buf[:f.diskLen]
+	buf = grow(buf, int(f.diskLen), maxChunkBytes)
 	if _, err := io.ReadFull(c, buf); err != nil {
 		return buf, c.fail("chunk payload", err)
 	}
@@ -584,10 +651,7 @@ func (d *chunkDecoder) inflatePayload(f chunkFrame, disk []byte) ([]byte, error)
 	if f.codec != codecFlate {
 		return disk, nil
 	}
-	if uint64(cap(d.raw)) < f.rawLen {
-		d.raw = make([]byte, f.rawLen)
-	}
-	d.raw = d.raw[:f.rawLen]
+	d.raw = grow(d.raw, int(f.rawLen), maxChunkBytes)
 	switch err := d.inf.inflate(d.raw, disk); {
 	case err == errInflateOverrun:
 		return nil, fmt.Errorf("trace: offset %d: chunk inflates past its declared %d bytes: %w", f.payloadStart, f.rawLen, ErrCorrupt)
@@ -658,10 +722,7 @@ func chunkFieldErr(fileOff int64, rec int, what string, pos int) error {
 // for period deltas, tags and sizes) must not pay binary.Uvarint's full
 // loop or a closure call per field.
 func decodeChunkPayload(payload []byte, count int, basePeriod uint64, areas []Area, lastOff []uint64, buf []Record, recBase int, fileOff int64) ([]Record, uint64, error) {
-	if cap(buf) < count {
-		buf = make([]Record, count)
-	}
-	recs := buf[:count]
+	recs := grow(buf, count, maxChunkRecords)
 	nAreas := uint64(len(areas))
 	lastPeriod := basePeriod
 	pos := 0
