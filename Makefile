@@ -40,9 +40,10 @@ evalgolden:
 # recycling of decode state across reopened streams and chunk ranges
 # (TestStreamReopenZeroAlloc, TestRangeReopenZeroAlloc: every warm cycle
 # within a few KiB) and of cache and TLB storage across sharded segments
-# (TestShardedReplayZeroAlloc: at most 200 KiB per warm segment); see
-# allocguard_test.go. It needs a non-race build because race
-# instrumentation changes allocation counts.
+# (TestShardedReplayZeroAlloc: at most 112 KiB per warm segment), and the
+# cost of a warm machine boot (TestBootZeroAlloc: at most 150 allocations,
+# most of them the stats registry's); see allocguard_test.go. It needs a
+# non-race build because race instrumentation changes allocation counts.
 allocguard:
 	$(GO) test -run ZeroAlloc .
 

@@ -11,8 +11,10 @@
 //	/progress  JSON progress/ETA for the current run or bench grid.
 //	/debug/pprof/  net/http/pprof, on the same mux.
 //
-// The monitor never pauses the simulation: counter and histogram values
-// are read through sim's lock-cheap snapshot API (atomic loads of live
+// The monitor never pauses the simulation. A scrape holds the registry's
+// lock only while it walks the registered names (sim.Stats.Registered),
+// a lock the simulation takes only to register a stat, and reads counter
+// and histogram values through sim's snapshot API (atomic loads of live
 // cells). A mid-run scrape therefore observes values that are a few
 // machine instructions stale and mutually skewed by the scrape's own
 // duration — the standard contract for live monitoring counters (cf.

@@ -39,9 +39,11 @@ func sanitizeMetricName(name string) string {
 }
 
 // writeMetrics renders one Prometheus text-exposition (version 0.0.4)
-// scrape: every registered counter and histogram of stats (read through
-// the lock-cheap snapshot API — the simulation is never paused), the
-// process/host gauges, and any caller-provided extra gauges.
+// scrape: every registered counter and histogram of stats, the
+// process/host gauges, and any caller-provided extra gauges. The scrape
+// holds the registry's lock while Registered walks the names, so it waits
+// only for a registration in flight; values are read with Sample, and the
+// simulation is never paused.
 func writeMetrics(w io.Writer, stats *sim.Stats, extra map[string]float64, uptimeSec float64) error {
 	bw := bufio.NewWriter(w)
 

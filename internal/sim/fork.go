@@ -73,23 +73,21 @@ type StatsState struct {
 func (s *Stats) CaptureState() StatsState {
 	var st StatsState
 	st.Counters = make([]CounterState, 0, len(s.counters))
-	for name, c := range s.counters {
-		st.Counters = append(st.Counters, CounterState{Name: name, Value: c.v})
-	}
-	sort.Slice(st.Counters, func(i, j int) bool { return st.Counters[i].Name < st.Counters[j].Name })
 	st.Hists = make([]HistogramState, 0, len(s.hists))
-	for name, h := range s.hists {
-		st.Hists = append(st.Hists, HistogramState{
-			Name: name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, Buckets: h.buckets,
-		})
-	}
-	sort.Slice(st.Hists, func(i, j int) bool { return st.Hists[i].Name < st.Hists[j].Name })
 	if s.intervalSnap != nil {
 		st.IntervalSnap = make([]CounterState, 0, len(s.intervalSnap))
-		for name, v := range s.intervalSnap {
-			st.IntervalSnap = append(st.IntervalSnap, CounterState{Name: name, Value: v})
+	}
+	for _, e := range s.stats {
+		if h := e.h; h != nil {
+			st.Hists = append(st.Hists, HistogramState{
+				Name: h.name, Count: h.count, Sum: h.sum, Min: h.min, Max: h.max, Buckets: h.buckets,
+			})
+			continue
 		}
-		sort.Slice(st.IntervalSnap, func(i, j int) bool { return st.IntervalSnap[i].Name < st.IntervalSnap[j].Name })
+		st.Counters = append(st.Counters, CounterState{Name: e.c.name, Value: e.c.v})
+		if v, ok := s.intervalSnap[e.c.name]; ok {
+			st.IntervalSnap = append(st.IntervalSnap, CounterState{Name: e.c.name, Value: v})
+		}
 	}
 	st.Intervals = s.intervals
 	return st
@@ -98,16 +96,11 @@ func (s *Stats) CaptureState() StatsState {
 // RestoreState overwrites the registry with a captured state. Existing
 // registrations are mutated in place — components holding pre-resolved
 // Counter/Histogram handles keep observing the restored values — and
-// stats present only in the capture are registered fresh. Dump output is
-// name-sorted, so registration-order differences between the capturing
-// and restoring machines are invisible.
+// stats present only in the capture are registered fresh. Every rendering
+// walks the registry in name order, so registration-order differences
+// between the capturing and restoring machines are invisible.
 func (s *Stats) RestoreState(st StatsState) {
-	for _, c := range s.counters {
-		c.v = 0
-	}
-	for _, h := range s.hists {
-		h.Reset()
-	}
+	s.Reset()
 	for _, cs := range st.Counters {
 		s.Counter(cs.Name).v = cs.Value
 	}
@@ -119,7 +112,6 @@ func (s *Stats) RestoreState(st StatsState) {
 		h.max = hs.Max
 		h.buckets = hs.Buckets
 	}
-	s.intervalSnap = nil
 	if st.IntervalSnap != nil {
 		s.intervalSnap = make(map[string]uint64, len(st.IntervalSnap))
 		for _, cs := range st.IntervalSnap {

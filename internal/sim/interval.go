@@ -29,13 +29,15 @@ func (s *Stats) DumpInterval(w io.Writer) error {
 		NameColWidth, "interval.index", s.intervals+1); err != nil {
 		return err
 	}
-	for _, name := range s.Names() {
-		delta := s.counters[name].v
-		if s.intervalSnap != nil {
-			delta -= s.intervalSnap[name]
+	next := make(map[string]uint64, len(s.counters))
+	for _, e := range s.stats {
+		if e.c == nil {
+			continue
 		}
+		next[e.c.name] = e.c.v
+		delta := e.c.v - s.intervalSnap[e.c.name]
 		if _, err := fmt.Fprintf(bw, "%-*s %20d                       # (Unspecified)\n",
-			NameColWidth, name, delta); err != nil {
+			NameColWidth, e.c.name, delta); err != nil {
 			return err
 		}
 	}
@@ -49,7 +51,7 @@ func (s *Stats) DumpInterval(w io.Writer) error {
 	// a failed dump can be retried without skipping an index or losing
 	// the deltas it would have covered.
 	s.intervals++
-	s.intervalSnap = s.Snapshot()
+	s.intervalSnap = next
 	return nil
 }
 

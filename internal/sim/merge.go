@@ -13,11 +13,12 @@ package sim
 // is not modified. Counter-vs-histogram name clashes panic exactly as they
 // do at registration time.
 func (s *Stats) MergeFrom(other *Stats) {
-	for name, oc := range other.counters {
-		s.Counter(name).v += oc.v
-	}
-	for name, oh := range other.hists {
-		s.Hist(name).MergeFrom(oh)
+	for _, e := range other.stats {
+		if e.c != nil {
+			s.Counter(e.c.name).v += e.c.v
+		} else {
+			s.Hist(e.h.name).MergeFrom(e.h)
+		}
 	}
 }
 

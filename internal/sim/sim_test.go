@@ -205,29 +205,14 @@ func TestStatsBasics(t *testing.T) {
 	}
 }
 
-func TestStatsSnapshotDiff(t *testing.T) {
-	s := NewStats()
-	s.Add("x", 3)
-	snap := s.Snapshot()
-	s.Add("x", 7)
-	s.Add("y", 1)
-	d := s.DiffFrom(snap)
-	if d["x"] != 7 || d["y"] != 1 {
-		t.Fatalf("diff = %v", d)
-	}
-	if len(d) != 2 {
-		t.Fatalf("diff has unchanged entries: %v", d)
-	}
-}
-
 func TestStatsDumpAndNames(t *testing.T) {
 	s := NewStats()
 	s.Inc("b.z")
 	s.Inc("a.x")
 	s.Inc("a.y")
-	names := s.Names()
-	if len(names) != 3 || names[0] != "a.x" || names[2] != "b.z" {
-		t.Fatalf("Names = %v", names)
+	cs := s.Registered().Counters
+	if len(cs) != 3 || cs[0].Name() != "a.x" || cs[2].Name() != "b.z" {
+		t.Fatalf("Registered counters = %v", cs)
 	}
 	dump := s.Dump("a.")
 	if dump == "" {

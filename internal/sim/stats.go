@@ -2,9 +2,9 @@ package sim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
-	"sync/atomic"
+	"sync"
 )
 
 // Stats is a flat registry of named counters and histograms, mirroring
@@ -20,11 +20,16 @@ type Stats struct {
 	counters map[string]*Counter
 	hists    map[string]*Histogram
 
-	// index is the immutable registered-stat view republished on every
-	// registration (copy-on-write), so concurrent observers — the monitor
-	// endpoint — can walk the registry without touching the maps the
-	// simulation goroutine may be inserting into. See Registered.
-	index atomic.Pointer[StatIndex]
+	// mu guards stats against Registered, the one reader on other
+	// goroutines (the monitor endpoint). Registration takes it; the
+	// simulation goroutine's own reads and the hot paths (Counter.Inc/Add,
+	// Histogram.Observe) never do.
+	mu sync.Mutex
+	// stats holds every registered counter and histogram in name order:
+	// each is inserted at its place when it registers, and every renderer
+	// walks this slice, so no reader sorts. A renderer must not register a
+	// stat while it walks it.
+	stats []stat
 
 	// intervalSnap is the counter baseline of the current interval
 	// (DumpInterval); nil until the first interval dump.
@@ -32,43 +37,54 @@ type Stats struct {
 	intervals    int
 }
 
-// StatIndex is an immutable snapshot of everything registered in a Stats:
-// the counter and histogram handles in name-sorted order. The slices are
-// never mutated after publication; the handles themselves stay live (read
-// them with Counter.Sample / Histogram.Sample from other goroutines).
+// stat is one registered stat: exactly one of c and h is set.
+type stat struct {
+	c *Counter
+	h *Histogram
+}
+
+func (e stat) name() string {
+	if e.c != nil {
+		return e.c.name
+	}
+	return e.h.name
+}
+
+// StatIndex is a snapshot of everything registered in a Stats: the counter
+// and histogram handles in name order. Later registrations never change a
+// returned index; the handles themselves stay live (read them with
+// Counter.Sample / Histogram.Sample from other goroutines).
 type StatIndex struct {
 	Counters []*Counter
 	Hists    []*Histogram
 }
 
-// Registered returns the current registered-stat index. The call is one
-// atomic pointer load, safe from any goroutine at any time; registrations
-// that race with it appear in a later index. The returned value must be
-// treated as read-only.
+// Registered returns the registered stats in name order. It is safe from
+// any goroutine at any time: it copies the handles under the registry's
+// lock, so a registration that races with it appears in a later index.
 func (s *Stats) Registered() *StatIndex {
-	if idx := s.index.Load(); idx != nil {
-		return idx
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	idx := &StatIndex{}
+	for _, e := range s.stats {
+		if e.c != nil {
+			idx.Counters = append(idx.Counters, e.c)
+		} else {
+			idx.Hists = append(idx.Hists, e.h)
+		}
 	}
-	return &StatIndex{}
+	return idx
 }
 
-// publishIndex rebuilds and republishes the registered-stat index. Called
-// on the registration (cold) path only; cost is O(n log n) in the registry
-// size, never on a simulation hot path.
-func (s *Stats) publishIndex() {
-	idx := &StatIndex{
-		Counters: make([]*Counter, 0, len(s.counters)),
-		Hists:    make([]*Histogram, 0, len(s.hists)),
-	}
-	for _, c := range s.counters {
-		idx.Counters = append(idx.Counters, c)
-	}
-	for _, h := range s.hists {
-		idx.Hists = append(idx.Hists, h)
-	}
-	sort.Slice(idx.Counters, func(i, j int) bool { return idx.Counters[i].name < idx.Counters[j].name })
-	sort.Slice(idx.Hists, func(i, j int) bool { return idx.Hists[i].name < idx.Hists[j].name })
-	s.index.Store(idx)
+// insert files a newly registered stat at its place in name order.
+func (s *Stats) insert(e stat) {
+	name := e.name()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	i, _ := slices.BinarySearchFunc(s.stats, name, func(e stat, name string) int {
+		return strings.Compare(e.name(), name)
+	})
+	s.stats = slices.Insert(s.stats, i, e)
 }
 
 // NewStats returns an empty registry.
@@ -90,7 +106,7 @@ func (s *Stats) Counter(name string) *Counter {
 		}
 		c = &Counter{name: name}
 		s.counters[name] = c
-		s.publishIndex()
+		s.insert(stat{c: c})
 	}
 	return c
 }
@@ -122,66 +138,23 @@ func (s *Stats) Hist(name string) *Histogram {
 		}
 		h = &Histogram{name: name}
 		s.hists[name] = h
-		s.publishIndex()
+		s.insert(stat{h: h})
 	}
 	return h
-}
-
-// Histograms returns all registered histograms sorted by name.
-func (s *Stats) Histograms() []*Histogram {
-	names := make([]string, 0, len(s.hists))
-	for k := range s.hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	out := make([]*Histogram, len(names))
-	for i, n := range names {
-		out[i] = s.hists[n]
-	}
-	return out
 }
 
 // Reset zeroes every counter and histogram but keeps registrations (handles
 // stay valid). The interval baseline is cleared too.
 func (s *Stats) Reset() {
-	for _, c := range s.counters {
-		c.v = 0
-	}
-	for _, h := range s.hists {
-		h.Reset()
+	for _, e := range s.stats {
+		if e.c != nil {
+			e.c.v = 0
+		} else {
+			e.h.Reset()
+		}
 	}
 	s.intervalSnap = nil
 	s.intervals = 0
-}
-
-// Names returns all counter names in sorted order.
-func (s *Stats) Names() []string {
-	names := make([]string, 0, len(s.counters))
-	for k := range s.counters {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Snapshot returns a copy of every counter, for diffing across a phase.
-func (s *Stats) Snapshot() map[string]uint64 {
-	out := make(map[string]uint64, len(s.counters))
-	for k, c := range s.counters {
-		out[k] = c.v
-	}
-	return out
-}
-
-// DiffFrom returns per-counter deltas since a snapshot taken earlier.
-func (s *Stats) DiffFrom(snap map[string]uint64) map[string]uint64 {
-	out := make(map[string]uint64)
-	for k, c := range s.counters {
-		if d := c.v - snap[k]; d != 0 {
-			out[k] = d
-		}
-	}
-	return out
 }
 
 // Dump renders all counters and histograms with a given name prefix,
@@ -205,30 +178,12 @@ func (s *Stats) Dump(prefix string) string {
 // in one sorted sequence: a histogram's lines appear at the position of
 // its base name.
 func (s *Stats) forEachStat(fn func(name string, v uint64, fv float64, isFloat bool)) {
-	names := make([]string, 0, len(s.counters)+len(s.hists))
-	for k := range s.counters {
-		names = append(names, k)
-	}
-	for k := range s.hists {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	prev := ""
-	for i, name := range names {
-		if i > 0 && name == prev {
-			// Counter and Hist both reject each other's names at
-			// registration, so this is unreachable unless the maps were
-			// mutated out of band; rendering a duplicate would drop a stat
-			// and break the interval-deltas-sum-to-totals invariant, so
-			// fail loudly anyway.
-			panic(fmt.Sprintf("sim: stat %q registered as both counter and histogram", name))
+	for _, e := range s.stats {
+		if e.h != nil {
+			e.h.ForEachStat(fn)
+		} else {
+			fn(e.c.name, e.c.v, 0, false)
 		}
-		prev = name
-		if h, ok := s.hists[name]; ok {
-			h.ForEachStat(fn)
-			continue
-		}
-		fn(name, s.counters[name].v, 0, false)
 	}
 }
 

@@ -43,6 +43,35 @@ func TestListKeepsAtMostGOMAXPROCS(t *testing.T) {
 	}
 }
 
+// TestListKeepsWhatWasOutAtOnce: owners that held more values at once
+// than there are Ps get every one of them back, and the list keeps no more
+// than that.
+func TestListKeepsWhatWasOutAtOnce(t *testing.T) {
+	var l List[struct{}, *int]
+	held := runtime.GOMAXPROCS(0) + 3
+	var out []*int
+	for i := 0; i < held; i++ {
+		if _, ok := l.Get(struct{}{}); ok {
+			t.Fatal("empty list handed out a spare")
+		}
+		out = append(out, new(int)) // what a caller makes on a miss
+	}
+	for _, x := range out {
+		l.Put(struct{}{}, x)
+	}
+	l.Put(struct{}{}, new(int)) // no Get handed this one out
+	n := 0
+	for {
+		if _, ok := l.Get(struct{}{}); !ok {
+			break
+		}
+		n++
+	}
+	if n != held {
+		t.Fatalf("list kept %d spares, want the %d that were out at once", n, held)
+	}
+}
+
 // TestListConcurrent hands spares between goroutines; under -race it
 // checks that every Put happens before the Get that takes its value.
 func TestListConcurrent(t *testing.T) {

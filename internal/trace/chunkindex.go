@@ -50,12 +50,17 @@ func (c *countingReader) discard(n int64, what string) error {
 // ScanChunkIndex walks a v2 image from the start, validating every chunk
 // frame and the footer, and returns the chunk index. Payloads are skipped,
 // not decoded, so a scan is an order of magnitude cheaper than a replay.
+// The scan reads through a spare range state's buffered reader and hands
+// the state back, so it allocates no read buffer once a range has closed.
 // The reader is left at an unspecified position.
 func ScanChunkIndex(rs io.ReadSeeker) (*ChunkIndex, error) {
 	if _, err := rs.Seek(0, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("trace: seeking to header: %w", err)
 	}
-	c := newCountingReader(rs)
+	st := takeRangeState()
+	defer st.release()
+	c := &st.c
+	c.reset(rs, 0)
 	h, err := readStreamHeader(c)
 	if err != nil {
 		return nil, err
@@ -116,10 +121,7 @@ func (ix *ChunkIndex) OpenRange(rs io.ReadSeeker, lo, hi int) (RecordSource, err
 		if _, err := rs.Seek(ix.Chunks[lo].Offset, io.SeekStart); err != nil {
 			return nil, fmt.Errorf("trace: seeking to chunk %d: %w", lo, err)
 		}
-		st, ok := rangeStates.Get(struct{}{})
-		if !ok {
-			st = new(rangeState)
-		}
+		st := takeRangeState()
 		st.reset(rs, ix.Chunks[lo].Offset, len(ix.Areas))
 		s.st = st
 		s.lastPeriod = ix.Chunks[lo].BasePeriod
@@ -144,6 +146,21 @@ type rangeState struct {
 // rangeStates holds closed ranges' states; see package spare for its
 // bound.
 var rangeStates spare.List[struct{}, *rangeState]
+
+// takeRangeState borrows a spare range state, or makes one.
+func takeRangeState() *rangeState {
+	if st, ok := rangeStates.Get(struct{}{}); ok {
+		return st
+	}
+	return new(rangeState)
+}
+
+// release drops st's hold on its reader, so a spare state never pins the
+// caller's, and files st for the next range or scan.
+func (st *rangeState) release() {
+	st.c.r.Reset(nil)
+	rangeStates.Put(struct{}{}, st)
+}
 
 // reset points the state at rs, positioned at file offset off, for an
 // image of nAreas areas.
@@ -175,8 +192,7 @@ func (s *v2RangeSource) Total() int        { return s.total }
 // Close returns the decode state for reuse; Next then reports io.EOF.
 func (s *v2RangeSource) Close() error {
 	if s.st != nil {
-		s.st.c.r.Reset(nil) // do not pin the caller's reader
-		rangeStates.Put(struct{}{}, s.st)
+		s.st.release()
 		s.st = nil
 	}
 	s.next = s.hi

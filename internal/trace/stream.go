@@ -225,6 +225,31 @@ func (c *countingReader) str(what string) (string, error) {
 	return string(buf), nil
 }
 
+// uvarintAt is uvarint for the i-th of a run of like fields, such as a
+// footer entry. Its label is format with one %d filled with i, formatted
+// only when the read fails, so a good footer formats none.
+func (c *countingReader) uvarintAt(format string, i int) (uint64, error) {
+	v, err := binary.ReadUvarint(c)
+	if err != nil {
+		return 0, c.fail(fmt.Sprintf(format, i), err)
+	}
+	return v, nil
+}
+
+// strAt is str for the i-th of a run of like fields, such as an area's
+// name, labelled as uvarintAt labels them.
+func (c *countingReader) strAt(format string, i int) (string, error) {
+	n, err := c.ReadByte()
+	if err != nil {
+		return "", c.fail(fmt.Sprintf(format, i)+" length", err)
+	}
+	buf := make([]byte, n)
+	if _, err := io.ReadFull(c, buf); err != nil {
+		return "", c.fail(fmt.Sprintf(format, i), err)
+	}
+	return string(buf), nil
+}
+
 // streamHeader is the part of either format preceding the records.
 type streamHeader struct {
 	version   uint32
@@ -260,12 +285,12 @@ func readStreamHeader(c *countingReader) (*streamHeader, error) {
 		return nil, fmt.Errorf("trace: offset %d: area count %d exceeds limit %d: %w", c.off, nAreas, maxAreas, ErrCorrupt)
 	}
 	h.areas = make([]Area, 0, min(nAreas, 4096))
-	for i := uint64(0); i < nAreas; i++ {
+	for i := range int(nAreas) {
 		var a Area
-		if a.Name, err = c.str(fmt.Sprintf("area %d name", i)); err != nil {
+		if a.Name, err = c.strAt("area %d name", i); err != nil {
 			return nil, err
 		}
-		if a.Size, err = c.uvarint(fmt.Sprintf("area %d size", i)); err != nil {
+		if a.Size, err = c.uvarintAt("area %d size", i); err != nil {
 			return nil, err
 		}
 		flags, err := c.ReadByte()
@@ -673,11 +698,11 @@ func checkStreamFooter(c *countingReader, seen []chunkIndexEntry, totalRecs int)
 		return fmt.Errorf("trace: offset %d: footer indexes %d chunks, stream held %d: %w", c.off, nChunks, len(seen), ErrCorrupt)
 	}
 	for i := range seen {
-		recs, err := c.uvarint(fmt.Sprintf("footer chunk %d records", i))
+		recs, err := c.uvarintAt("footer chunk %d records", i)
 		if err != nil {
 			return err
 		}
-		diskBytes, err := c.uvarint(fmt.Sprintf("footer chunk %d disk bytes", i))
+		diskBytes, err := c.uvarintAt("footer chunk %d disk bytes", i)
 		if err != nil {
 			return err
 		}
