@@ -36,7 +36,7 @@ check: fmt vet race evalgolden allocguard cpusweep benchsmoke perfbenchsmoke cra
 evalgolden:
 	$(GO) test -count=1 -run TestGoldenEvaluation .
 
-# allocguard pins the replay fast path's zero-allocation steady state, the
+# allocguard pins the replay step's zero-allocation steady state, the
 # recycling of decode state across reopened streams and chunk ranges
 # (TestStreamReopenZeroAlloc, TestRangeReopenZeroAlloc: every warm cycle
 # within a few KiB) and of cache and TLB storage across sharded segments

@@ -1,6 +1,6 @@
 package kindle_test
 
-// Zero-allocation guards for the replay fast path and the checkpoint. The
+// Zero-allocation guards for the replay step and the checkpoint. The
 // perf work in the replay engine (pooled TLB entries, recency-ordered cache
 // and TLB sets, pooled persist-domain buffers, recycled stream chunk
 // buffers, read buffers, decode pools and range decoders, and cache and TLB

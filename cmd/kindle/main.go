@@ -231,8 +231,8 @@ func (r *run) enablePersistence(f *core.Framework) error {
 // the frame store forks copy-on-write.
 func (r *run) capture(f *core.Framework, rep *core.Replay) error {
 	at := r.snapshotAt
-	if te := rep.TickEvery; te > 0 && at%te != 0 {
-		at += te - at%te
+	if at%core.TickEvery != 0 {
+		at += core.TickEvery - at%core.TickEvery
 	}
 	if at > 0 {
 		if _, err := rep.Step(at); err != nil {

@@ -137,11 +137,22 @@ func (f *Framework) RunIdle(d, tick time.Duration) {
 	f.M.RunUntil(f.M.Clock.Now()+sim.FromDuration(d), sim.FromDuration(tick))
 }
 
+// TickEvery is how many records a replay consumes between machine event
+// ticks. Tick boundaries are counted from the start of the trace, so a
+// snapshot taken on one resumes onto the cold run's event trajectory.
+const TickEvery = 32
+
+// computeCyclesPerPeriod is the non-memory instruction time a replay
+// charges for each logical period the trace advances between records.
+const computeCyclesPerPeriod sim.Cycles = 2
+
 // Replay drives a traced application through the simulated machine — the
 // generated template program running as gemOS's init process. The record
 // stream comes from a trace.RecordSource, so a replay holds at most a
 // couple of decoded chunks in memory regardless of trace length; a
-// materialized Image replays through the same path via its adapter.
+// materialized Image replays through the same path via its adapter. Every
+// record is one Core.Access, stepped in runs that end at a TickEvery
+// boundary.
 type Replay struct {
 	f     *Framework
 	P     *gemos.Process
@@ -154,12 +165,6 @@ type Replay struct {
 	consumed int
 	total    int // -1 when the source cannot tell upfront
 	drained  bool
-
-	// ComputeCyclesPerPeriod charges non-memory instruction time between
-	// records from the trace's logical periods.
-	ComputeCyclesPerPeriod sim.Cycles
-	// TickEvery fires machine events every N records (default 32).
-	TickEvery int
 
 	// OnStep, when set, observes replay progress: it is called once per
 	// Step call (not per record — Run steps in 64Ki-record slabs, so the
@@ -195,13 +200,11 @@ func (f *Framework) LaunchStream(src trace.RecordSource) (*gemos.Process, *Repla
 	}
 	f.K.Switch(p)
 	rep := &Replay{
-		f:                      f,
-		P:                      p,
-		src:                    src,
-		areas:                  areas,
-		total:                  src.Total(),
-		ComputeCyclesPerPeriod: 2,
-		TickEvery:              32,
+		f:     f,
+		P:     p,
+		src:   src,
+		areas: areas,
+		total: src.Total(),
 	}
 	for _, a := range areas {
 		var flags uint32
@@ -317,10 +320,6 @@ func (r *Replay) Step(n int) (done bool, err error) {
 	if k.Current() != r.P {
 		k.Switch(r.P)
 	}
-	tickEvery := r.TickEvery
-	if tickEvery <= 0 {
-		tickEvery = 32
-	}
 	for remaining := n; remaining > 0; {
 		if r.pos >= len(r.batch) {
 			ok, err := r.fill()
@@ -335,14 +334,14 @@ func (r *Replay) Step(n int) (done bool, err error) {
 		if run > remaining {
 			run = remaining
 		}
-		if until := tickEvery - r.consumed%tickEvery; run > until {
+		if until := TickEvery - r.consumed%TickEvery; run > until {
 			run = until
 		}
 		if err := r.stepBatch(r.batch[r.pos : r.pos+run]); err != nil {
 			return false, err
 		}
 		remaining -= run
-		if r.consumed%tickEvery == 0 {
+		if r.consumed%TickEvery == 0 {
 			k.Tick()
 		}
 	}
@@ -354,19 +353,18 @@ func (r *Replay) Step(n int) (done bool, err error) {
 }
 
 // stepBatch replays one contiguous run of records with the loop-invariant
-// state (clock, core, area bases, compute-cycle rate) resolved once. The
-// caller has already sized recs so no tick boundary falls inside the run.
+// state (clock, core, area bases) resolved once. The caller has already
+// sized recs so no tick boundary falls inside the run.
 func (r *Replay) stepBatch(recs []trace.Record) error {
 	m := r.f.M
 	clock := m.Clock
 	core := m.Core
 	bases := r.bases
-	ccp := r.ComputeCyclesPerPeriod
 	lastPeriod := r.lastPeriod
 	for j := range recs {
 		rec := &recs[j]
 		if rec.Period > lastPeriod {
-			clock.Advance(sim.Cycles(rec.Period-lastPeriod) * ccp)
+			clock.Advance(sim.Cycles(rec.Period-lastPeriod) * computeCyclesPerPeriod)
 			lastPeriod = rec.Period
 		}
 		va := bases[rec.Area] + rec.Offset

@@ -24,12 +24,10 @@ import (
 // the trace and fast-forwards the decoder (decode is cheap — the
 // simulation of the prefix is what the snapshot saves).
 type ReplayState struct {
-	PID                    int
-	Consumed               int
-	LastPeriod             uint64
-	Bases                  []uint64
-	ComputeCyclesPerPeriod sim.Cycles
-	TickEvery              int
+	PID        int
+	Consumed   int
+	LastPeriod uint64
+	Bases      []uint64
 }
 
 // Snapshot is a warmed framework frozen in time. All exported fields are
@@ -52,12 +50,10 @@ func (f *Framework) Snapshot(rep *Replay) *Snapshot {
 	}
 	if rep != nil {
 		s.Replay = &ReplayState{
-			PID:                    rep.P.PID,
-			Consumed:               rep.consumed,
-			LastPeriod:             rep.lastPeriod,
-			Bases:                  append([]uint64(nil), rep.bases...),
-			ComputeCyclesPerPeriod: rep.ComputeCyclesPerPeriod,
-			TickEvery:              rep.TickEvery,
+			PID:        rep.P.PID,
+			Consumed:   rep.consumed,
+			LastPeriod: rep.lastPeriod,
+			Bases:      append([]uint64(nil), rep.bases...),
 		}
 	}
 	return s
@@ -113,15 +109,13 @@ func (f *Framework) ResumeReplay(s *Snapshot, src trace.RecordSource) (*Replay, 
 		return nil, fmt.Errorf("core: source has %d areas, snapshot mapped %d", len(areas), len(st.Bases))
 	}
 	rep := &Replay{
-		f:                      f,
-		P:                      p,
-		src:                    src,
-		areas:                  areas,
-		bases:                  append([]uint64(nil), st.Bases...),
-		total:                  src.Total(),
-		ComputeCyclesPerPeriod: st.ComputeCyclesPerPeriod,
-		TickEvery:              st.TickEvery,
-		lastPeriod:             st.LastPeriod,
+		f:          f,
+		P:          p,
+		src:        src,
+		areas:      areas,
+		bases:      append([]uint64(nil), st.Bases...),
+		total:      src.Total(),
+		lastPeriod: st.LastPeriod,
 	}
 	if err := rep.skip(st.Consumed); err != nil {
 		return nil, err

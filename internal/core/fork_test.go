@@ -2,12 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"kindle/internal/machine"
+	"kindle/internal/mem"
 	"kindle/internal/persist"
 	"kindle/internal/sim"
 	"kindle/internal/trace"
@@ -300,6 +303,71 @@ func TestSnapshotSaveLoadRoundTrip(t *testing.T) {
 	}
 	if got := cf.M.Stats.Dump(""); got != wantDump {
 		t.Fatalf("resumed dump differs from cold boot:\n%s", firstDiff(got, wantDump))
+	}
+}
+
+// TestCorruptSnapshotFramesRefused loads frame images that BackingImage
+// could not have written, through SetBackingImage and through LoadSnapshot
+// of a saved file: a frame past the end of NVM, a frame number whose base
+// address wraps around to DRAM, and a repeat of the first frame that would
+// overwrite it with a zero page. Each must be refused with an error naming
+// the entry and its frame number; the untouched image must load.
+func TestCorruptSnapshotFramesRefused(t *testing.T) {
+	cfg := machine.TestConfig()
+	f := New(cfg)
+	_, rep, err := f.LaunchInit(smallImage(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rep.Step(forkWarmup); err != nil {
+		t.Fatal(err)
+	}
+	snap := f.Snapshot(rep)
+	clean := snap.M.BackingImage()
+	if len(clean.PFNs) == 0 {
+		t.Fatal("snapshot holds no frames")
+	}
+	withFrame := func(pfn uint64) mem.BackingImage {
+		return mem.BackingImage{
+			PFNs:   append(append([]uint64(nil), clean.PFNs...), pfn),
+			Frames: append(append([][]byte(nil), clean.Frames...), make([]byte, mem.PageSize)),
+		}
+	}
+	last := len(clean.PFNs)
+	pastNVM := mem.FrameNumber(cfg.Layout.NVMBase) + cfg.Layout.NVMSize/mem.PageSize + 4
+	cases := []struct {
+		name string
+		img  mem.BackingImage
+		want string // "" when the image must load
+	}{
+		{"clean", clean, ""},
+		{"past-nvm", withFrame(pastNVM), fmt.Sprintf("frame %d: pfn %#x lies outside DRAM and NVM", last, pastNVM)},
+		{"wraps-to-dram", withFrame(1 << 52), fmt.Sprintf("frame %d: pfn %#x lies outside DRAM and NVM", last, uint64(1<<52))},
+		{"repeated", withFrame(clean.PFNs[0]), fmt.Sprintf("frame %d: pfn %#x does not follow", last, clean.PFNs[0])},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			check := func(path string, err error) {
+				t.Helper()
+				if c.want == "" {
+					if err != nil {
+						t.Fatalf("%s: %v", path, err)
+					}
+					return
+				}
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("%s: error %v, want one containing %q", path, err, c.want)
+				}
+			}
+			check("SetBackingImage", snap.M.SetBackingImage(c.img))
+
+			var file bytes.Buffer
+			if err := gob.NewEncoder(&file).Encode(snapshotFile{Snap: snap, Img: c.img}); err != nil {
+				t.Fatal(err)
+			}
+			_, err := LoadSnapshot(&file)
+			check("LoadSnapshot", err)
+		})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"kindle/internal/machine"
+	"kindle/internal/obs"
 	"kindle/internal/trace"
 )
 
@@ -30,19 +31,19 @@ func shardedImageFile(t *testing.T, img *trace.Image, chunkRecords int) string {
 }
 
 // TestShardedStatsIdentity pins the tentpole determinism claim: N-shard
-// merged stats dumps are byte-identical to the 1-shard run, with the fast
-// paths both on and off. The shard count must select concurrency only —
-// never results.
+// merged stats dumps are byte-identical to the 1-shard run, with tracing
+// both off and on. The shard count must select concurrency only — never
+// results. (The subtest names come from the DisableFastPaths switch that
+// the two passes once set.)
 func TestShardedStatsIdentity(t *testing.T) {
 	path := shardedImageFile(t, smallImage(t), 1024)
-	for _, disable := range []bool{false, true} {
-		name := "fastpaths"
-		if disable {
-			name = "slowpaths"
-		}
-		t.Run(name, func(t *testing.T) {
+	for _, pass := range []struct {
+		name string
+		cats obs.Category
+	}{{"fastpaths", 0}, {"slowpaths", obs.CatAll}} {
+		t.Run(pass.name, func(t *testing.T) {
 			cfg := machine.TestConfig()
-			cfg.DisableFastPaths = disable
+			cfg.Trace.Categories = pass.cats
 			opt := ShardedOptions{SegmentChunks: 3, Config: &cfg}
 
 			opt.Shards = 1

@@ -104,8 +104,6 @@ type Core struct {
 
 	llcMissed bool // scratch flag set by the hierarchy miss observer
 
-	fastOff bool // disables the Access fast path (equivalence testing)
-
 	tr *obs.Tracer // nil when tracing is off
 
 	tlbLookupLat *sim.Histogram
@@ -164,13 +162,6 @@ func (c *Core) SetTracer(tr *obs.Tracer) { c.tr = tr }
 
 // SetHooks installs prototype observation hooks (nil clears).
 func (c *Core) SetHooks(h Hooks) { c.hooks = h }
-
-// SetFastPaths enables or disables the core's single-line Access shortcut
-// (on by default). It is an exact specialization of the general access
-// loop — simulated time, stats and hook firings are bit-identical either
-// way — so the switch exists only for the equivalence tests that pin that
-// claim.
-func (c *Core) SetFastPaths(on bool) { c.fastOff = !on }
 
 // SetAddressSpace points the core's PTBR at table and flushes the TLB
 // (firing eviction hooks, as a real context switch would let the prototype
@@ -243,8 +234,7 @@ func (c *Core) translate(va uint64, write bool) (*tlb.Entry, error) {
 		}
 		if ok {
 			// Complete the translation from the walk result, as the
-			// hardware fill path does. Charging a fresh Lookup here (the
-			// pre-fix behavior) double-charged every TLB fill with an L1
+			// hardware fill path does: a fresh Lookup would charge an L1
 			// probe the real machine never issues.
 			return c.TLB.Insert(tlb.Entry{
 				VPN:      vpn,
@@ -276,37 +266,8 @@ func (c *Core) Access(va uint64, write bool, size int) (sim.Cycles, error) {
 		return 0, fmt.Errorf("cpu: access size %d", size)
 	}
 	start := c.clock.Now()
-	if !c.fastOff && va^(va+uint64(size)-1) < mem.LineSize {
-		// Fast path: the access stays inside one cache line (and therefore
-		// one page) — the overwhelmingly common replay shape. This is the
-		// general loop below specialized to a single iteration; every
-		// charge, stat and hook fires identically.
-		e, err := c.translate(va, write)
-		if err != nil {
-			return c.clock.Now() - start, err
-		}
-		if write && !e.Writable {
-			return c.clock.Now() - start, &PageFaultError{VA: va, Write: true, Cause: "write to read-only page"}
-		}
-		if c.hooks != nil {
-			c.hooks.OnTranslate(e, va, write)
-		}
-		pa := mem.FrameBase(e.PFN) + mem.PhysAddr(va%mem.PageSize)
-		c.llcMissed = false
-		lat := c.Hier.Access(pa, write)
-		c.charge(lat)
-		if c.llcMissed && c.hooks != nil {
-			c.hooks.OnLLCMiss(e, va, write)
-		}
-		if write {
-			c.stores.Inc()
-		} else {
-			c.loads.Inc()
-		}
-		return c.clock.Now() - start, nil
-	}
-	end := va + uint64(size)
-	for cur := va; cur < end; {
+	last := va + uint64(size) - 1 // the access's last byte
+	for cur := va; ; {
 		e, err := c.translate(cur, write)
 		if err != nil {
 			return c.clock.Now() - start, err
@@ -317,22 +278,25 @@ func (c *Core) Access(va uint64, write bool, size int) (sim.Cycles, error) {
 		if c.hooks != nil {
 			c.hooks.OnTranslate(e, cur, write)
 		}
-		// Access the lines this request covers within the current page.
-		pageEnd := (cur/mem.PageSize + 1) * mem.PageSize
-		chunkEnd := end
-		if chunkEnd > pageEnd {
-			chunkEnd = pageEnd
-		}
-		for line := cur &^ (mem.LineSize - 1); line < chunkEnd; line += mem.LineSize {
-			pa := mem.FrameBase(e.PFN) + mem.PhysAddr(line%mem.PageSize)
+		// Access the lines this request covers within the current page; a
+		// single-line access makes one pass of each loop. The first line
+		// starts at cur itself: Hierarchy.Access aligns pa to its line.
+		pageLast := min(last, cur|(mem.PageSize-1))
+		frame := mem.FrameBase(e.PFN)
+		for line := cur; ; line += mem.LineSize {
 			c.llcMissed = false
-			lat := c.Hier.Access(pa, write)
-			c.charge(lat)
+			c.charge(c.Hier.Access(frame+mem.PhysAddr(line%mem.PageSize), write))
 			if c.llcMissed && c.hooks != nil {
 				c.hooks.OnLLCMiss(e, cur, write)
 			}
+			if line|(mem.LineSize-1) >= pageLast {
+				break
+			}
 		}
-		cur = chunkEnd
+		if pageLast == last {
+			break
+		}
+		cur = pageLast + 1
 	}
 	if write {
 		c.stores.Inc()

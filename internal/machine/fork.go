@@ -68,8 +68,19 @@ func (s *Snapshot) BackingImage() mem.BackingImage {
 }
 
 // SetBackingImage installs a deserialized frame store. The rebuilt store
-// is frozen immediately so later restores share it copy-on-write.
+// is frozen immediately so later restores share it copy-on-write. An image
+// BackingImage could not have written is refused: a frame number outside
+// the snapshot layout's DRAM and NVM regions, or one not above the frame
+// before it (a repeated frame would overwrite an earlier one).
 func (s *Snapshot) SetBackingImage(img mem.BackingImage) error {
+	for i, pfn := range img.PFNs {
+		if !s.Cfg.Layout.HoldsFrame(pfn) {
+			return fmt.Errorf("machine: snapshot frame %d: pfn %#x lies outside DRAM and NVM", i, pfn)
+		}
+		if i > 0 && pfn <= img.PFNs[i-1] {
+			return fmt.Errorf("machine: snapshot frame %d: pfn %#x does not follow pfn %#x", i, pfn, img.PFNs[i-1])
+		}
+	}
 	b, err := mem.NewBackingFromImage(img)
 	if err != nil {
 		return err

@@ -23,12 +23,6 @@ type Config struct {
 	TLB2   tlb.Config
 	Seed   uint64
 
-	// DisableFastPaths turns off the semantically invisible software fast
-	// path: the core's single-line access shortcut. Simulated output is
-	// bit-identical either way — the switch exists for the equivalence
-	// tests and for isolating fast-path bugs.
-	DisableFastPaths bool
-
 	// EventDrivenClock is read by nothing: RunUntil always advances the
 	// clock event to event. The field remains only so that code which
 	// still assigns it (the perfbench module) keeps compiling.
@@ -92,9 +86,6 @@ func New(cfg Config) *Machine {
 	hier := cache.NewHierarchy(cfg.Caches, ctrl, clock, stats)
 	t := tlb.New(cfg.TLB1, cfg.TLB2, stats)
 	core := cpu.New(clock, stats, t, hier, ctrl)
-	if cfg.DisableFastPaths {
-		core.SetFastPaths(false)
-	}
 	m := &Machine{
 		Cfg:    cfg,
 		Clock:  clock,
@@ -110,11 +101,7 @@ func New(cfg Config) *Machine {
 	// sees them as deadlines.
 	ctrl.NVM().SetEvents(m.Events)
 	if cfg.Trace.Categories != 0 {
-		capacity := cfg.Trace.BufferCap
-		if capacity <= 0 {
-			capacity = obs.DefaultBufferCap
-		}
-		m.Tracer = obs.New(clock, capacity, cfg.Trace.Categories)
+		m.Tracer = obs.New(clock, obs.DefaultCapacity, cfg.Trace.Categories)
 		ctrl.SetTracer(m.Tracer)
 		hier.SetTracer(m.Tracer)
 		core.SetTracer(m.Tracer)

@@ -91,6 +91,14 @@ func (l Layout) Contains(pa PhysAddr, size uint64) bool {
 	return l.KindOf(pa+PhysAddr(size-1)) == k
 }
 
+// HoldsFrame reports whether frame pfn lies inside the DRAM or the NVM
+// region. It compares frame numbers, not addresses: the base address of a
+// frame number of 2^52 or more wraps around to a low address.
+func (l Layout) HoldsFrame(pfn uint64) bool {
+	d, n := FrameNumber(l.DRAMBase), FrameNumber(l.NVMBase)
+	return pfn >= d && pfn-d < l.DRAMSize/PageSize || pfn >= n && pfn-n < l.NVMSize/PageSize
+}
+
 // Total returns the total installed bytes.
 func (l Layout) Total() uint64 { return l.DRAMSize + l.NVMSize }
 

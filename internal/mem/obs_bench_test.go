@@ -47,7 +47,7 @@ func BenchmarkTracerDisabled(b *testing.B) {
 func BenchmarkTracerEnabled(b *testing.B) {
 	clock := sim.NewClock()
 	c := NewController(SmallLayout(), DDR4_2400(), PCM(), clock, sim.NewStats())
-	c.SetTracer(obs.New(clock, obs.DefaultBufferCap, obs.CatAll))
+	c.SetTracer(obs.New(clock, obs.DefaultCapacity, obs.CatAll))
 	pa := c.Layout.DRAMBase
 	b.ReportAllocs()
 	b.ResetTimer()

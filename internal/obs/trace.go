@@ -141,17 +141,15 @@ type Event struct {
 	Val  uint64     // argument / counter value
 }
 
-// Config selects tracer parameters when wiring a machine.
+// Config selects what a machine's tracer records.
 type Config struct {
 	// Categories enables tracing for the masked categories; zero disables
 	// tracing entirely (the machine keeps a nil tracer).
 	Categories Category
-	// BufferCap is the ring capacity in events (default 1<<16).
-	BufferCap int
 }
 
-// DefaultBufferCap is the ring capacity used when Config.BufferCap is 0.
-const DefaultBufferCap = 1 << 16
+// DefaultCapacity is the ring capacity, in events, of a machine's tracer.
+const DefaultCapacity = 1 << 16
 
 // EventSink receives a copy of every event the tracer records, in emission
 // order, on the emitting (simulation) goroutine. Sinks power live fan-out —
@@ -173,10 +171,10 @@ type Tracer struct {
 }
 
 // New builds a tracer over the machine clock. capacity <= 0 selects
-// DefaultBufferCap; a zero mask records nothing but still accepts calls.
+// DefaultCapacity; a zero mask records nothing but still accepts calls.
 func New(clock *sim.Clock, capacity int, mask Category) *Tracer {
 	if capacity <= 0 {
-		capacity = DefaultBufferCap
+		capacity = DefaultCapacity
 	}
 	return &Tracer{mask: mask, clock: clock, ring: make([]Event, capacity)}
 }
