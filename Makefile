@@ -179,5 +179,5 @@ profile:
 # (replay records/sec, suite wall-clock, GOMAXPROCS) in BENCH_replay.json
 # for cross-PR comparison.
 bench:
-	$(GO) test -bench . -benchmem -run XXX ./internal/mem ./internal/obs ./internal/sim
+	$(GO) test -bench . -benchmem -run XXX ./internal/mem ./internal/obs ./internal/sim ./internal/tlb ./internal/cache
 	$(GO) test -run TestWriteBenchReport -bench-report BENCH_replay.json .

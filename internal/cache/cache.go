@@ -23,20 +23,22 @@ import (
 // Level is a single set-associative cache.
 //
 // The tag store is flat: set si owns lines[si*ways : (si+1)*ways], one
-// word per way, kept in recency order with the most recently used line
-// first. A word is the line's base address with the dirty flag in bit 0
-// (line bases are LineSize-aligned, so the low bits are free), and empty
-// ways hold emptyWay at the set's tail. A hit moves its word to the
-// front and a fill shifts the set down one way, so the least recently
-// used line is always the last word: eviction needs no scan and no
-// per-way timestamp, and a 16-way set spans two host cache lines.
+// 32-bit word per way, kept in recency order with the most recently used
+// line first. A word is the line number shifted up one bit, with the
+// dirty flag in bit 0, and empty ways hold emptyWay at the set's tail. An
+// access scans the set once, shifting the ways it passes down one: a hit
+// ends at its line, which goes to the front, and a miss shifts the whole
+// set and fills the front, so the least recently used line is always the
+// one pushed out of the last way. Eviction needs no scan and no per-way
+// timestamp. A 16-way set fills one 64-byte host cache line, and the
+// default L1 and L2 tag stores together take 34 KiB.
 type Level struct {
 	name    string
 	sets    int
 	ways    int
 	latency sim.Cycles
 
-	lines   []uint64 // flat sets*ways tag store, recency-ordered per set
+	lines   []uint32 // flat sets*ways tag store, recency-ordered per set
 	setMask uint64   // sets-1 when sets is a power of two, else 0 (use modulo)
 
 	evicts *sim.Counter // "cache.<name>.evict", resolved once
@@ -44,8 +46,23 @@ type Level struct {
 
 const (
 	dirtyBit = 1          // set in a way's word while the line is dirty
-	emptyWay = ^uint64(0) // an unused way; never a line base
+	emptyWay = ^uint32(0) // an unused way; no line below wayLimit has this word
 )
+
+// wayLimit is the first address a way cannot name: its line's word, with
+// the dirty flag set, would be emptyWay. NewHierarchy refuses memory that
+// reaches past it.
+const wayLimit = mem.PhysAddr(emptyWay>>1) * mem.LineSize
+
+// lineWord returns the clean way word of the line base addr.
+func lineWord(addr mem.PhysAddr) uint32 {
+	return uint32(addr/mem.LineSize) << 1
+}
+
+// lineAddr returns the line base a way word names.
+func lineAddr(w uint32) mem.PhysAddr {
+	return mem.PhysAddr(w>>1) * mem.LineSize
+}
 
 // Config describes one cache level.
 type Config struct {
@@ -57,7 +74,7 @@ type Config struct {
 
 // spareLines holds the tag stores of released levels, filed by length,
 // for the next level built with as many lines (see Hierarchy.Release).
-var spareLines spare.List[int, []uint64]
+var spareLines spare.List[int, []uint32]
 
 // NewLevel builds one cache level, on a released level's tag store when
 // one of its size is spare. Size must be a non-zero multiple of
@@ -69,7 +86,7 @@ func NewLevel(cfg Config, stats *sim.Stats) *Level {
 	}
 	lines, ok := spareLines.Get(linesTotal)
 	if !ok {
-		lines = make([]uint64, linesTotal)
+		lines = make([]uint32, linesTotal)
 	}
 	sets := linesTotal / cfg.Ways
 	l := &Level{
@@ -95,15 +112,15 @@ func (l *Level) setIndex(addr mem.PhysAddr) int {
 }
 
 // set returns the ways of the set the line base addr maps to.
-func (l *Level) set(addr mem.PhysAddr) []uint64 {
+func (l *Level) set(addr mem.PhysAddr) []uint32 {
 	b := l.setIndex(addr) * l.ways
 	return l.lines[b : b+l.ways]
 }
 
-// find returns the way of set holding the line base addr, or -1.
-func find(set []uint64, addr mem.PhysAddr) int {
-	for i, w := range set {
-		if w&^dirtyBit == uint64(addr) {
+// find returns the way of set holding the line of clean word w, or -1.
+func find(set []uint32, w uint32) int {
+	for i, x := range set {
+		if x&^dirtyBit == w {
 			return i
 		}
 	}
@@ -113,50 +130,44 @@ func find(set []uint64, addr mem.PhysAddr) int {
 // Probe reports residency without touching recency order or stats.
 func (l *Level) Probe(addr mem.PhysAddr) bool {
 	addr = mem.LineBase(addr)
-	return find(l.set(addr), addr) >= 0
+	return find(l.set(addr), lineWord(addr)) >= 0
 }
 
-// access touches addr; returns hit. A hit moves the line to the front of
-// its set and marks it dirty when write.
-func (l *Level) access(addr mem.PhysAddr, write bool) bool {
-	set := l.set(addr)
-	i := find(set, addr)
-	if i < 0 {
-		return false
+// access probes set for the line of clean word w, shifting each way it
+// passes down one, and leaves that line in the first way. A hit stops at
+// the line, marks it dirty when write and returns emptyWay as victim. A
+// miss has shifted the whole set: it writes fill, the word the line
+// enters with, into the first way and returns the word pushed out of the
+// last, emptyWay if that way was empty, for the caller to dispose of.
+func access(set []uint32, w, fill uint32, write bool) (hit bool, victim uint32) {
+	prev := set[0]
+	if prev&^dirtyBit == w {
+		if write {
+			set[0] = prev | dirtyBit
+		}
+		return true, emptyWay
 	}
-	w := set[i]
-	if write {
-		w |= dirtyBit
+	for i := 1; i < len(set); i++ {
+		x := set[i]
+		set[i] = prev
+		if x&^dirtyBit == w {
+			if write {
+				x |= dirtyBit
+			}
+			set[0] = x
+			return true, emptyWay
+		}
+		prev = x
 	}
-	for ; i > 0; i-- {
-		set[i] = set[i-1]
-	}
-	set[0] = w
-	return true
-}
-
-// fill inserts addr, which must not be resident, at the front of its set.
-// A full set evicts its last, least recently used, line; the evicted line
-// (if any, with its dirty bit) is returned.
-func (l *Level) fill(addr mem.PhysAddr, dirty bool) (victim mem.PhysAddr, victimDirty, evicted bool) {
-	set := l.set(addr)
-	last := set[len(set)-1]
-	copy(set[1:], set)
-	set[0] = uint64(addr)
-	if dirty {
-		set[0] |= dirtyBit
-	}
-	if last == emptyWay {
-		return 0, false, false
-	}
-	return mem.PhysAddr(last &^ dirtyBit), last&dirtyBit != 0, true
+	set[0] = fill
+	return false, prev
 }
 
 // invalidate removes addr, closing the gap so the set stays in recency
 // order, and reports whether it was present and dirty.
 func (l *Level) invalidate(addr mem.PhysAddr) (present, dirty bool) {
 	set := l.set(addr)
-	i := find(set, addr)
+	i := find(set, lineWord(addr))
 	if i < 0 {
 		return false, false
 	}
@@ -178,9 +189,9 @@ func (l *Level) cleanToDirty(addr mem.PhysAddr) (present, wasDirty bool) {
 
 // mark sets addr's dirty bit to dirty (0 or dirtyBit) if resident, in
 // place: neither kind of write-back is a use, so recency order is kept.
-func (l *Level) mark(addr mem.PhysAddr, dirty uint64) (present, wasDirty bool) {
+func (l *Level) mark(addr mem.PhysAddr, dirty uint32) (present, wasDirty bool) {
 	set := l.set(addr)
-	i := find(set, addr)
+	i := find(set, lineWord(addr))
 	if i < 0 {
 		return false, false
 	}

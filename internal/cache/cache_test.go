@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -35,6 +36,43 @@ func TestBadGeometryPanics(t *testing.T) {
 			NewLevel(cfg, sim.NewStats())
 		})
 	}
+}
+
+// TestLayoutPastWayLimitPanics: a way names its line in a 32-bit word, so
+// NewHierarchy refuses memory reaching past the first address a way
+// cannot name, 128 GiB less one line, and builds over memory ending a page
+// below it.
+func TestLayoutPastWayLimitPanics(t *testing.T) {
+	build := func(lay mem.Layout) {
+		clock, stats := sim.NewClock(), sim.NewStats()
+		ctrl := mem.NewController(lay, mem.DDR4_2400(), mem.PCM(), clock, stats)
+		NewHierarchy(DefaultHierConfig(), ctrl, clock, stats)
+	}
+	const top = 128 * mem.GiB
+	small := mem.SmallLayout()
+	for _, c := range []struct {
+		name string
+		lay  mem.Layout
+		want string
+	}{
+		{"NVM ends at 128 GiB", mem.Layout{DRAMSize: small.DRAMSize, NVMBase: mem.PhysAddr(top - small.NVMSize), NVMSize: small.NVMSize},
+			"cache: NVM at 0x1ffc000000 (0x4000000 bytes) reaches past 0x1fffffffc0"},
+		{"DRAM spans 128 GiB", mem.Layout{DRAMSize: top, NVMBase: mem.PhysAddr(top), NVMSize: small.NVMSize},
+			"cache: DRAM at 0x0 (0x2000000000 bytes) reaches past 0x1fffffffc0"},
+		{"NVM starts past the limit", mem.Layout{DRAMSize: small.DRAMSize, NVMBase: 1 << 40, NVMSize: small.NVMSize},
+			"cache: NVM at 0x10000000000"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				got, _ := recover().(string)
+				if !strings.Contains(got, c.want) {
+					t.Fatalf("panic %q, want one naming %q", got, c.want)
+				}
+			}()
+			build(c.lay)
+		})
+	}
+	build(mem.Layout{DRAMSize: small.DRAMSize, NVMBase: mem.PhysAddr(top - small.NVMSize), NVMSize: small.NVMSize - mem.PageSize})
 }
 
 func TestHitLatencyOrdering(t *testing.T) {
@@ -248,5 +286,27 @@ func BenchmarkCacheMissStream(b *testing.B) {
 	h, _, _, _ := newTestHier(b)
 	for i := 0; i < b.N; i++ {
 		h.Access(mem.PhysAddr((i*mem.LineSize)%(32*mem.MiB)), false)
+	}
+}
+
+// BenchmarkHierarchyMixed accesses seeded random lines of a 1 MiB working
+// set, between the L2 and LLC sizes, a quarter of them writes: most
+// accesses miss L1 and L2 and hit the LLC, fill both levels above it and
+// push dirty victims down.
+func BenchmarkHierarchyMixed(b *testing.B) {
+	h, _, _, _ := newTestHier(b)
+	rng := rand.New(rand.NewSource(1))
+	type op struct {
+		pa    mem.PhysAddr
+		write bool
+	}
+	stream := make([]op, 1<<16)
+	for i := range stream {
+		stream[i] = op{mem.PhysAddr(rng.Int63n(mem.MiB/mem.LineSize)) * mem.LineSize, rng.Intn(4) == 0}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := stream[i&(len(stream)-1)]
+		h.Access(a.pa, a.write)
 	}
 }

@@ -11,9 +11,10 @@ import (
 // captured — it is derived from the machine Config the restoring side
 // rebuilds with, and RestoreState rejects a mismatch.
 
-// LevelState mirrors one cache level's tag store word for word: every
-// way of every set, in recency order, each a line base with the dirty
-// flag in bit 0, and empty ways (all ones) at the tail of their set.
+// LevelState mirrors one cache level's tag store way for way: every way
+// of every set, in recency order, each a line base with the dirty flag in
+// bit 0, and empty ways (all ones) at the tail of their set. The format
+// predates the 32-bit way words, which capture widens and restore narrows.
 type LevelState struct {
 	Lines []uint64
 }
@@ -23,8 +24,17 @@ type HierarchyState struct {
 	L1, L2, LLC LevelState
 }
 
+const emptyState = ^uint64(0) // an empty way in a LevelState
+
 func (l *Level) captureState() LevelState {
-	return LevelState{Lines: append([]uint64(nil), l.lines...)}
+	st := LevelState{Lines: make([]uint64, len(l.lines))}
+	for i, w := range l.lines {
+		st.Lines[i] = emptyState
+		if w != emptyWay {
+			st.Lines[i] = uint64(lineAddr(w)) | uint64(w&dirtyBit)
+		}
+	}
+	return st
 }
 
 // restoreState checks every word of st before overwriting anything, so a
@@ -37,18 +47,23 @@ func (l *Level) restoreState(st LevelState) error {
 	for si := 0; si < l.sets; si++ {
 		set := st.Lines[si*l.ways : (si+1)*l.ways]
 		for i, w := range set {
-			if w == emptyWay {
+			if w == emptyState {
 				continue
 			}
-			if i > 0 && set[i-1] == emptyWay {
+			if i > 0 && set[i-1] == emptyState {
 				return fmt.Errorf("cache: %s set %d: way %d holds %#x after an empty way", l.name, si, i, w)
 			}
-			if base := mem.PhysAddr(w &^ dirtyBit); base != mem.LineBase(base) || l.setIndex(base) != si {
+			if base := mem.PhysAddr(w &^ dirtyBit); base != mem.LineBase(base) || base >= wayLimit || l.setIndex(base) != si {
 				return fmt.Errorf("cache: %s set %d: way %d holds %#x, not a line base of this set", l.name, si, i, w)
 			}
 		}
 	}
-	copy(l.lines, st.Lines)
+	for i, w := range st.Lines {
+		l.lines[i] = emptyWay
+		if w != emptyState {
+			l.lines[i] = lineWord(mem.PhysAddr(w&^dirtyBit)) | uint32(w&dirtyBit)
+		}
+	}
 	return nil
 }
 

@@ -38,8 +38,8 @@ func TestRestoreStateRejectsBadSets(t *testing.T) {
 		{"l1 misaligned line", func(st *HierarchyState) { l1Set0(st)[2] += 8 }, "l1d set 0: way 2 holds"},
 		{"l1 line of another set", func(st *HierarchyState) { l1Set0(st)[1] += mem.LineSize }, "l1d set 0: way 1 holds"},
 		{"llc line of another set", func(st *HierarchyState) { st.LLC.Lines[16*5+3] = 0 }, "llc set 5: way 3 holds 0x0, not a line base"},
-		{"l1 valid way after an empty one", func(st *HierarchyState) { l1Set0(st)[0] = emptyWay }, "l1d set 0: way 1 holds"},
-		{"l1 cleared all-ones word", func(st *HierarchyState) { l1Set0(st)[6] = emptyWay &^ dirtyBit }, "l1d set 0: way 6 holds"},
+		{"l1 valid way after an empty one", func(st *HierarchyState) { l1Set0(st)[0] = emptyState }, "l1d set 0: way 1 holds"},
+		{"l1 cleared all-ones word", func(st *HierarchyState) { l1Set0(st)[6] = emptyState &^ dirtyBit }, "l1d set 0: way 6 holds"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"fmt"
+
 	"kindle/internal/mem"
 	"kindle/internal/obs"
 	"kindle/internal/sim"
@@ -23,7 +25,10 @@ func DefaultHierConfig() HierConfig {
 }
 
 // MissObserver is notified when an access misses the whole hierarchy (i.e.
-// goes to memory). HSCC hooks this to count per-page LLC misses.
+// goes to memory). HSCC hooks this to count per-page LLC misses. It runs
+// in the middle of the access, after every level has taken the line in
+// and before their victims are written back, so it must not use the
+// hierarchy.
 type MissObserver func(pa mem.PhysAddr, write bool)
 
 // Hierarchy is the three-level cache stack in front of the memory
@@ -58,8 +63,16 @@ type Hierarchy struct {
 	clflushes       *sim.Counter
 }
 
-// NewHierarchy builds the cache stack over the memory controller.
+// NewHierarchy builds the cache stack over the memory controller. It
+// panics on a level NewLevel refuses and on a memory layout reaching past
+// the first address a 32-bit way cannot name (128 GiB less one line).
 func NewHierarchy(cfg HierConfig, ctrl *mem.Controller, clock *sim.Clock, stats *sim.Stats) *Hierarchy {
+	for _, r := range ctrl.Layout.E820() {
+		if r.Size > 0 && (r.Base >= wayLimit || r.Size > uint64(wayLimit-r.Base)) {
+			panic(fmt.Sprintf("cache: %s at %#x (%#x bytes) reaches past %#x, the first address a 32-bit way cannot name",
+				r.Kind, r.Base, r.Size, wayLimit))
+		}
+	}
 	return &Hierarchy{
 		l1:        NewLevel(cfg.L1, stats),
 		l2:        NewLevel(cfg.L2, stats),
@@ -96,30 +109,42 @@ func (h *Hierarchy) SetTracer(tr *obs.Tracer) { h.tr = tr }
 // Miss handling is write-allocate: the line is filled into every level.
 // Dirty victims are written back to memory; dirty NVM victims become
 // durable (persist-domain commit), matching real CPUs where an evicted line
-// reaches the ADR/memory controller domain.
+// reaches the ADR/memory controller domain. Each level's set is scanned
+// once: a level that misses takes the line in during its probe. The
+// victims are disposed of once the line is found, LLC first and L1 last:
+// a dirty L1 victim merges into L2 or the LLC only if it is still
+// resident there after their own fills.
 func (h *Hierarchy) Access(pa mem.PhysAddr, write bool) sim.Cycles {
 	addr := mem.LineBase(pa)
+	w := lineWord(addr)
+	w1 := w // the word L1 fills with: dirty on a write
+	if write {
+		w1 |= dirtyBit
+	}
 	lat := h.l1.latency
-	if h.l1.access(addr, write) {
+	hit, v1 := access(h.l1.set(addr), w, w1, write)
+	if hit {
 		h.l1Hit.Inc()
 		h.l1HitLat.ObserveCycles(lat)
 		return lat
 	}
 	h.l1Miss.Inc()
 	lat += h.l2.latency
-	if h.l2.access(addr, write) {
+	hit, v2 := access(h.l2.set(addr), w, w, write)
+	if hit {
 		h.l2Hit.Inc()
 		h.l2HitLat.ObserveCycles(lat)
-		h.fillInto(h.l1, addr, write)
+		h.evicted(h.l1, v1)
 		return lat
 	}
 	h.l2Miss.Inc()
 	lat += h.llc.latency
-	if h.llc.access(addr, write) {
+	hit, v3 := access(h.llc.set(addr), w, w, write)
+	if hit {
 		h.llcHit.Inc()
 		h.llcHitLat.ObserveCycles(lat)
-		h.fillInto(h.l2, addr, false)
-		h.fillInto(h.l1, addr, write)
+		h.evicted(h.l2, v2)
+		h.evicted(h.l1, v1)
 		return lat
 	}
 	h.llcMiss.Inc()
@@ -133,24 +158,25 @@ func (h *Hierarchy) Access(pa mem.PhysAddr, write bool) sim.Cycles {
 	if h.tr.Enabled(obs.CatCache) {
 		h.tr.Span(obs.CatCache, "llc.miss", start, lat, "pa", uint64(addr))
 	}
-	h.fillInto(h.llc, addr, false)
-	h.fillInto(h.l2, addr, false)
-	h.fillInto(h.l1, addr, write)
+	h.evicted(h.llc, v3)
+	h.evicted(h.l2, v2)
+	h.evicted(h.l1, v1)
 	return lat
 }
 
-// fillInto inserts addr into level l, handling victim write-back.
-func (h *Hierarchy) fillInto(l *Level, addr mem.PhysAddr, dirty bool) {
-	victim, victimDirty, evicted := l.fill(addr, dirty)
-	if !evicted {
+// evicted disposes of v, the word a fill pushed out of level l (emptyWay
+// when it pushed none out), handling victim write-back.
+func (h *Hierarchy) evicted(l *Level, v uint32) {
+	if v == emptyWay {
 		return
 	}
 	l.evicts.Inc()
-	if !victimDirty {
+	if v&dirtyBit == 0 {
 		return
 	}
 	// Dirty victim propagates down. From L1/L2 it merges into the next
 	// level if resident there; from the LLC it goes to memory.
+	victim := lineAddr(v)
 	switch l {
 	case h.l1:
 		if present, _ := h.l2.cleanToDirty(victim); present {

@@ -201,10 +201,10 @@ func (l *refLevel) reset() {
 	}
 }
 
-// recencyOrder renders set si the way Level stores it: valid ways by
-// descending stamp, each its address plus dirty bit, then empty ways. It
-// fails the test if two ways share a stamp, since the order would then
-// be ambiguous.
+// recencyOrder renders set si the way a LevelState captures it: valid
+// ways by descending stamp, each its address plus dirty bit, then empty
+// ways. It fails the test if two ways share a stamp, since the order would
+// then be ambiguous.
 func (l *refLevel) recencyOrder(t *testing.T, si int) []uint64 {
 	b := si * l.ways
 	n := int(l.lens[si])
@@ -230,7 +230,7 @@ func (l *refLevel) recencyOrder(t *testing.T, si int) []uint64 {
 		}
 	}
 	for k := n; k < l.ways; k++ {
-		out[k] = emptyWay
+		out[k] = emptyState
 	}
 	return out
 }
@@ -247,13 +247,16 @@ var fuzzGeometries = []Config{
 
 // FuzzCacheLevel drives a Level and the timestamp-LRU refLevel through one
 // byte program and requires every return value, and every set the
-// program touches, to agree. The first byte picks the geometry; each
-// following pair is an opcode byte and a line byte. The line is drawn
-// from twice the level's capacity, so hits, evictions and absent lines
-// all stay frequent. Opcodes (low nibble): 0-7 access, then fill on a
-// miss, as Hierarchy does (bit 4 makes it a write); 8-9 invalidate;
-// 10-11 clean; 12-13 cleanToDirty; 14 a capture→restore round trip of
-// the Level into a fresh one, which carries on in its place; 15 reset.
+// program touches, to agree. A set is compared as captureState renders it
+// for a snapshot, so a change to the captured layout fails here too. The
+// first byte picks the geometry; each following pair is an opcode byte
+// and a line byte. The line is drawn from twice the level's capacity, so
+// hits, evictions and absent lines all stay frequent. Opcodes (low
+// nibble): 0-7 access, which fills on a miss as Hierarchy does, against
+// the reference's access and then fill on a miss (bit 4 makes it a
+// write); 8-9 invalidate; 10-11 clean; 12-13 cleanToDirty; 14 a
+// capture→restore round trip of the Level into a fresh one, which carries
+// on in its place; 15 reset.
 func FuzzCacheLevel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) == 0 {
@@ -265,7 +268,7 @@ func FuzzCacheLevel(f *testing.F) {
 		pool := 2 * len(lvl.lines)
 		checkSet := func(op, si int) {
 			t.Helper()
-			got := lvl.lines[si*lvl.ways : (si+1)*lvl.ways]
+			got := lvl.captureState().Lines[si*lvl.ways : (si+1)*lvl.ways]
 			if want := ref.recencyOrder(t, si); !slices.Equal(got, want) {
 				t.Fatalf("op %d: %s set %d\n got  %#x\n want %#x", op, cfg.Name, si, got, want)
 			}
@@ -284,9 +287,16 @@ func FuzzCacheLevel(f *testing.F) {
 			var got, want result
 			switch {
 			case code < 8:
-				got.a, want.a = lvl.access(addr, write), ref.access(addr, write)
-				if !got.a && !want.a {
-					got.v, got.b, got.c = lvl.fill(addr, write)
+				w, fill := lineWord(addr), lineWord(addr)
+				if write {
+					fill |= dirtyBit
+				}
+				var v uint32
+				got.a, v = access(lvl.set(addr), w, fill, write)
+				if v != emptyWay {
+					got.v, got.b, got.c = lineAddr(v), v&dirtyBit != 0, true
+				}
+				if want.a = ref.access(addr, write); !want.a {
 					want.v, want.b, want.c = ref.fill(addr, write)
 				}
 			case code < 10:

@@ -161,25 +161,42 @@ func RunFromSnapshot(s *Snapshot, src trace.RecordSource) (*Framework, *Replay, 
 	return f, rep, nil
 }
 
-// snapshotFile is the on-disk envelope: the snapshot plus the materialized
-// frame store (machine.Snapshot's live store is unexported and travels as
-// a deterministic PFN-sorted image).
+// snapshotVersion is the format version Save stamps on a snapshot file,
+// and the only one LoadSnapshot reads. Bump it whenever the captured
+// state's layout changes, so a binary refuses a file it would misread.
+const snapshotVersion = 1
+
+// snapshotFile is the on-disk envelope: the format version, the snapshot
+// and the materialized frame store (machine.Snapshot's live store is
+// unexported and travels as a deterministic PFN-sorted image). Files
+// written before the version stamp have the layout of version 1 and
+// decode with Version 0.
 type snapshotFile struct {
-	Snap *Snapshot
-	Img  mem.BackingImage
+	Version int
+	Snap    *Snapshot
+	Img     mem.BackingImage
 }
 
-// Save serializes the snapshot (gob). The output is deterministic: all
-// captured state is name- or address-sorted.
+// Save serializes the snapshot (gob), stamped with snapshotVersion. The
+// output is deterministic: all captured state is name- or address-sorted.
 func (s *Snapshot) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(snapshotFile{Snap: s, Img: s.M.BackingImage()})
+	return gob.NewEncoder(w).Encode(snapshotFile{Version: snapshotVersion, Snap: s, Img: s.M.BackingImage()})
 }
 
 // LoadSnapshot deserializes a snapshot written by Save, ready for Resume.
+// It refuses a file stamped with another format version; an unstamped
+// file loads as version 1.
 func LoadSnapshot(r io.Reader) (*Snapshot, error) {
 	var sf snapshotFile
 	if err := gob.NewDecoder(r).Decode(&sf); err != nil {
 		return nil, fmt.Errorf("core: decoding snapshot: %w", err)
+	}
+	if sf.Version == 0 {
+		sf.Version = 1
+	}
+	if sf.Version != snapshotVersion {
+		return nil, fmt.Errorf("core: snapshot file has format version %d, this build reads version %d",
+			sf.Version, snapshotVersion)
 	}
 	if sf.Snap == nil || sf.Snap.M == nil {
 		return nil, fmt.Errorf("core: snapshot file carries no machine state")

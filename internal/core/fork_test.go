@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -263,7 +264,11 @@ func TestForkSiblingsIndependent(t *testing.T) {
 }
 
 // TestSnapshotSaveLoadRoundTrip serializes a snapshot to bytes and resumes
-// from the decoded copy — the CLI's -snapshot-out/-snapshot-in path.
+// from the decoded copy — the CLI's -snapshot-out/-snapshot-in path. A
+// file Save stamps with the format version and a file in the unstamped
+// envelope written before the stamp both resume to the cold run's clock
+// and dump; a file stamped with the next version is refused with an error
+// naming both versions.
 func TestSnapshotSaveLoadRoundTrip(t *testing.T) {
 	cfg := machine.TestConfig()
 	scheme := persist.Rebuild
@@ -283,26 +288,55 @@ func TestSnapshotSaveLoadRoundTrip(t *testing.T) {
 	if _, err := rep.Step(forkWarmup); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := f.Snapshot(rep).Save(&buf); err != nil {
-		t.Fatal(err)
+	snap := f.Snapshot(rep)
+	// unstamped is the envelope as Save wrote it before the version stamp.
+	type unstamped struct {
+		Snap *Snapshot
+		Img  mem.BackingImage
 	}
-	loaded, err := LoadSnapshot(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		write func(w io.Writer) error
+		want  string // the refusal; "" when the file must resume
+	}{
+		{"stamped", snap.Save, ""},
+		{"unstamped", func(w io.Writer) error {
+			return gob.NewEncoder(w).Encode(unstamped{Snap: snap, Img: snap.M.BackingImage()})
+		}, ""},
+		{"next-version", func(w io.Writer) error {
+			return gob.NewEncoder(w).Encode(snapshotFile{Version: snapshotVersion + 1, Snap: snap, Img: snap.M.BackingImage()})
+		}, fmt.Sprintf("snapshot file has format version %d, this build reads version %d", snapshotVersion+1, snapshotVersion)},
 	}
-	cf, crep, err := RunFromSnapshot(loaded, traceSource(t, img))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := crep.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := uint64(cf.M.Clock.Now()); got != wantClock {
-		t.Fatalf("resumed clock %d != cold %d", got, wantClock)
-	}
-	if got := cf.M.Stats.Dump(""); got != wantDump {
-		t.Fatalf("resumed dump differs from cold boot:\n%s", firstDiff(got, wantDump))
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := c.write(&buf); err != nil {
+				t.Fatal(err)
+			}
+			loaded, err := LoadSnapshot(&buf)
+			if c.want != "" {
+				if err == nil || !strings.Contains(err.Error(), c.want) {
+					t.Fatalf("LoadSnapshot: error %v, want one containing %q", err, c.want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			cf, crep, err := RunFromSnapshot(loaded, traceSource(t, img))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := crep.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if got := uint64(cf.M.Clock.Now()); got != wantClock {
+				t.Fatalf("resumed clock %d != cold %d", got, wantClock)
+			}
+			if got := cf.M.Stats.Dump(""); got != wantDump {
+				t.Fatalf("resumed dump differs from cold boot:\n%s", firstDiff(got, wantDump))
+			}
+		})
 	}
 }
 

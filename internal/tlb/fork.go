@@ -48,23 +48,28 @@ type State struct {
 func (l *level) captureState(pool []Entry) LevelState {
 	st := LevelState{
 		Entries: make([]EntryState, len(l.words)),
-		Lens:    append([]int32(nil), l.lens...),
+		Lens:    make([]int32, l.sets),
 		Recency: make([]int32, len(l.words)),
 	}
-	for si, n := range l.lens {
-		b := si * l.ways
-		slots := l.slots[b : b+int(n)]
-		for j, p := range slots {
-			st.Entries[b+j] = EntryState(pool[p])
-		}
-		for k := 0; k < l.ways; k++ {
-			st.Recency[b+k] = -1
-			if k < int(n) {
-				st.Recency[b+k] = int32(l.at[l.words[b+k]&idxMask])
-			}
-		}
+	for si := range l.lens {
+		l.captureSet(st, pool, si)
 	}
 	return st
+}
+
+// captureSet writes set si, every one of its ways, into st, a capture of
+// this level's geometry.
+func (l *level) captureSet(st LevelState, pool []Entry, si int) {
+	b, n := si*l.ways, int(l.lens[si])
+	st.Lens[si] = int32(n)
+	o := l.recency[si]
+	for k := 0; k < l.ways; k++ {
+		st.Entries[b+k], st.Recency[b+k] = EntryState{}, -1
+		if k < n {
+			st.Entries[b+k] = EntryState(pool[l.words[b+k]&idxMask])
+			st.Recency[b+k] = int32(o >> (4 * k) & 15)
+		}
+	}
 }
 
 // checkState validates st against the level's geometry without writing
@@ -125,13 +130,13 @@ func (t *TLB) restoreState(l *level, st LevelState) {
 		for j := 0; j < int(n); j++ {
 			p := t.alloc()
 			t.pool[p] = Entry(st.Entries[b+j])
-			l.slots[b+j] = p
-			l.at[p] = uint16(j)
+			l.words[b+j] = t.pool[p].VPN<<idxBits | uint64(p)
 		}
+		var o uint64
 		for k, s := range st.Recency[b : b+int(n)] {
-			p := l.slots[b+int(s)]
-			l.words[b+k] = t.pool[p].VPN<<idxBits | uint64(p)
+			o |= uint64(s) << (4 * k)
 		}
+		l.recency[si] = o
 	}
 }
 

@@ -10,6 +10,7 @@ package tlb
 
 import (
 	"fmt"
+	"math/bits"
 
 	"kindle/internal/mem"
 	"kindle/internal/sim"
@@ -67,21 +68,30 @@ const (
 	maxVPN  = 1<<(64-idxBits) - 1
 )
 
+// A set's recency order is one word of 4-bit slot numbers, so a level has
+// at most maxWays ways; nibbles has a 1 in every nibble.
+const (
+	maxWays = 16
+	nibbles = 0x1111111111111111
+)
+
 // level is one set-associative TLB level. It holds pool indices, not
-// entries, in two orders per set:
+// entries:
 //
-//   - words[si*ways : si*ways+lens[si]] is set si's recency run, one tag
-//     word per live translation, most recently used first. A hit moves
-//     its word to the front and a fill shifts the set down one word, so
-//     the least recently used translation is always the last word:
-//     eviction needs no scan and no per-entry stamp.
-//   - slots[si*ways : si*ways+lens[si]] lists the same pool indices in
-//     slot order, and at[p] is the slot of pool index p within its set. A
-//     fill appends at lens[si] or takes over its victim's slot, and a
-//     removal moves the set's last slot into the gap. No lookup reads
-//     the slots; they fix the order forEach visits entries in, which
-//     SSP's interval end turns into timed metadata writes, so they are
-//     kept exactly as the stamp-LRU TLB laid its entries out.
+//   - words[si*ways : si*ways+lens[si]] holds set si's tag words in slot
+//     order. A fill appends at lens[si] or takes over its victim's slot,
+//     and a removal moves the set's last word into the gap, so a word
+//     stays in its slot for as long as it is resident. forEach visits
+//     entries in slot order, which SSP's interval end turns into timed
+//     metadata writes, so it is kept exactly as the stamp-LRU TLB laid
+//     its entries out.
+//   - recency[si] lists set si's slots from most to least recently used,
+//     one 4-bit slot number per position, the most recent in the low
+//     nibble. A hit, fill or removal rewrites this one word instead of
+//     shifting tag words, and the least recently used slot is the nibble
+//     at position lens[si]-1: eviction needs no scan and no per-entry
+//     stamp. Nibbles at lens[si] and above are stale; no result depends
+//     on them.
 type level struct {
 	name    string
 	sets    int
@@ -90,16 +100,15 @@ type level struct {
 	latency sim.Cycles
 
 	levelStore
-	at []uint16 // indexed by pool index; shared by both levels
 
 	evicts *sim.Counter // "tlb.<name>.evict", resolved once
 }
 
 // levelStore is a level's storage, sized by its geometry.
 type levelStore struct {
-	words []uint64
-	slots []uint16
-	lens  []int32
+	words   []uint64
+	recency []uint64
+	lens    []int32
 }
 
 // newLevel checks cfg and builds a level without storage; New gives it
@@ -107,6 +116,10 @@ type levelStore struct {
 func newLevel(cfg Config, stats *sim.Stats) level {
 	if cfg.Entries <= 0 || cfg.Ways <= 0 || cfg.Entries%cfg.Ways != 0 {
 		panic(fmt.Sprintf("tlb: bad geometry for %s", cfg.Name))
+	}
+	if cfg.Ways > maxWays {
+		panic(fmt.Sprintf("tlb: %s has %d ways, more than the %d a set's recency word can order",
+			cfg.Name, cfg.Ways, maxWays))
 	}
 	sets := cfg.Entries / cfg.Ways
 	l := level{
@@ -124,9 +137,9 @@ func newLevel(cfg Config, stats *sim.Stats) level {
 
 func (l *level) newStore() levelStore {
 	return levelStore{
-		words: make([]uint64, l.sets*l.ways),
-		slots: make([]uint16, l.sets*l.ways),
-		lens:  make([]int32, l.sets),
+		words:   make([]uint64, l.sets*l.ways),
+		recency: make([]uint64, l.sets),
+		lens:    make([]int32, l.sets),
 	}
 }
 
@@ -137,63 +150,81 @@ func (l *level) setIndex(vpn uint64) int {
 	return int(vpn % uint64(l.sets))
 }
 
-// lookup returns vpn's tag word and moves it to the front of its set.
+// position returns the bit offset of the lowest nibble of order that
+// holds slot number j. remove passes a j that one of the set's first lens
+// nibbles holds, so the stale nibbles above are never reached. x has a
+// zero nibble wherever order holds j, and subtracting 1 from every nibble
+// of x sets the high bit of the lowest zero nibble, and of no nibble below
+// it, before any borrow can reach a nibble above it.
+func position(order, j uint64) uint {
+	x := order ^ j*nibbles
+	return uint(bits.TrailingZeros64((x-nibbles)&^x&(nibbles<<3))) &^ 3
+}
+
+// lookup returns vpn's tag word and makes its slot the most recently used.
+// It probes the slots in recency order, so a hit on the most recent slot,
+// the common case, costs one probe and writes nothing.
 func (l *level) lookup(vpn uint64) (uint64, bool) {
 	si := l.setIndex(vpn)
-	run := l.words[si*l.ways : si*l.ways+int(l.lens[si])]
-	for i, w := range run {
-		if w>>idxBits == vpn {
-			for ; i > 0; i-- {
-				run[i] = run[i-1]
+	set := l.words[si*l.ways : (si+1)*l.ways]
+	n, o := uint(l.lens[si]), l.recency[si]
+	for k, x := uint(0), o; k < n; k, x = k+1, x>>4 {
+		j := x & 15
+		if w := set[j]; w>>idxBits == vpn {
+			if k > 0 {
+				// Move j's nibble to the front; those before it move
+				// up one position.
+				m := uint64(1)<<(4*k+4) - 1
+				l.recency[si] = o&^m | o<<4&m | j
 			}
-			run[0] = w
 			return w, true
 		}
 	}
 	return 0, false
 }
 
-// fill puts w, whose VPN must not be resident, at the front of its set. A
-// full set evicts its last word, whose slot w takes over; the victim's
-// word is returned.
+// fill puts w, whose VPN must not be resident, in a slot of its set and
+// makes that slot the most recently used. A full set evicts the word of
+// its least recently used slot, which w takes over; the victim's word is
+// returned.
 func (l *level) fill(w uint64) (victim uint64, evicted bool) {
 	si := l.setIndex(w >> idxBits)
 	b := si * l.ways
 	n := int(l.lens[si])
-	j := uint16(n) // the slot w takes
+	o := l.recency[si]
+	j := n // the slot w takes
 	if n == l.ways {
-		n--
-		victim, evicted = l.words[b+n], true
-		j = l.at[victim&idxMask]
+		j = int(o >> (4 * (n - 1)) & 15)
+		victim, evicted = l.words[b+j], true
 		l.evicts.Inc()
 	} else {
 		l.lens[si] = int32(n + 1)
 	}
-	run := l.words[b : b+n+1]
-	for i := n; i > 0; i-- {
-		run[i] = run[i-1]
-	}
-	run[0] = w
-	l.slots[b+int(j)] = uint16(w & idxMask)
-	l.at[w&idxMask] = j
+	l.words[b+j] = w
+	l.recency[si] = o<<4 | uint64(j)
 	return victim, evicted
 }
 
-// remove takes vpn out of its set, closing the gap in the recency run and
-// moving the set's last slot into the freed one, and returns its word.
+// remove takes vpn out of its set, moving the set's last word into the
+// freed slot, and returns its word. Like lookup, it probes the slots in
+// recency order.
 func (l *level) remove(vpn uint64) (uint64, bool) {
 	si := l.setIndex(vpn)
-	b := si * l.ways
-	n := int(l.lens[si])
-	run := l.words[b : b+n]
-	for i, w := range run {
-		if w>>idxBits == vpn {
-			for ; i < n-1; i++ {
-				run[i] = run[i+1]
+	set := l.words[si*l.ways : (si+1)*l.ways]
+	n, o := uint(l.lens[si]), l.recency[si]
+	for k, x := uint(0), o; k < n; k, x = k+1, x>>4 {
+		j := x & 15
+		if w := set[j]; w>>idxBits == vpn {
+			// Drop j's nibble; those after it move down one position.
+			m := uint64(1)<<(4*k) - 1
+			o = o>>4&^m | o&m
+			if last := uint64(n - 1); j != last {
+				// The last slot's word moves to slot j, so its nibble
+				// is renamed from last to j.
+				set[j] = set[last]
+				o ^= (j ^ last) << position(o, last)
 			}
-			j, last := l.at[w&idxMask], l.slots[b+n-1]
-			l.slots[b+int(j)] = last
-			l.at[last] = j
+			l.recency[si] = o
 			l.lens[si] = int32(n - 1)
 			return w, true
 		}
@@ -202,16 +233,14 @@ func (l *level) remove(vpn uint64) (uint64, bool) {
 }
 
 func (l *level) reset() {
-	for i := range l.lens {
-		l.lens[i] = 0
-	}
+	clear(l.lens)
 }
 
 // forEach visits every entry of the level in slot order (mutable).
 func (l *level) forEach(pool []Entry, fn func(e *Entry)) {
 	for si, n := range l.lens {
-		for _, p := range l.slots[si*l.ways : si*l.ways+int(n)] {
-			fn(&pool[p])
+		for _, w := range l.words[si*l.ways : si*l.ways+int(n)] {
+			fn(&pool[w&idxMask])
 		}
 	}
 }
@@ -247,9 +276,9 @@ func DefaultConfigL2() Config { return Config{Name: "l2", Entries: 1536, Ways: 1
 // store is all of a TLB's storage, every array sized by the geometry of
 // its two levels: what New allocates and Release hands on.
 type store struct {
-	l1, l2   levelStore
-	pool     []Entry
-	free, at []uint16
+	l1, l2 levelStore
+	pool   []Entry
+	free   []uint16
 }
 
 // geometry files spare stores: TLBs of one geometry have stores of one
@@ -262,8 +291,8 @@ var spareStores spare.List[geometry, store]
 
 // New builds the two-level TLB, on a released TLB's storage when one of
 // this geometry is spare. It panics on a level without entries, on
-// entries that do not divide into ways, and on levels too large together
-// for a pool index to name every entry.
+// entries that do not divide into ways, on a level of more than 16 ways,
+// and on levels too large together for a pool index to name every entry.
 func New(l1, l2 Config, stats *sim.Stats) *TLB {
 	t := &TLB{
 		l1: newLevel(l1, stats), l2: newLevel(l2, stats),
@@ -284,23 +313,20 @@ func New(l1, l2 Config, stats *sim.Stats) *TLB {
 		// free list, which freeAll rebuilds below either way.
 		for _, ls := range []levelStore{st.l1, st.l2} {
 			clear(ls.words)
-			clear(ls.slots)
+			clear(ls.recency)
 			clear(ls.lens)
 		}
 		clear(st.pool)
-		clear(st.at)
 	} else {
 		st = store{
 			l1:   t.l1.newStore(),
 			l2:   t.l2.newStore(),
 			pool: make([]Entry, n),
 			free: make([]uint16, n),
-			at:   make([]uint16, n),
 		}
 	}
 	t.l1.levelStore, t.l2.levelStore = st.l1, st.l2
 	t.pool, t.free = st.pool, st.free
-	t.l1.at, t.l2.at = st.at, st.at
 	t.freeAll()
 	return t
 }
@@ -314,10 +340,9 @@ func (t *TLB) Release() {
 	if t.pool == nil {
 		return
 	}
-	spareStores.Put(t.geom, store{l1: t.l1.levelStore, l2: t.l2.levelStore, pool: t.pool, free: t.free, at: t.l1.at})
+	spareStores.Put(t.geom, store{l1: t.l1.levelStore, l2: t.l2.levelStore, pool: t.pool, free: t.free})
 	t.l1.levelStore, t.l2.levelStore = levelStore{}, levelStore{}
 	t.pool, t.free = nil, nil
-	t.l1.at, t.l2.at = nil, nil
 }
 
 // NewDefault builds the TLB with default geometry.

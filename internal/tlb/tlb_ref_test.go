@@ -286,31 +286,41 @@ var fuzzGeometries = []fuzzGeometry{
 		Config{Name: "l2", Entries: 24, Ways: 8, Latency: 5}, maxVPN - 67, 68},
 }
 
-// checkSet fails unless set si of level l holds what set si of the
-// reference level holds: the same entries in the same slot order, and
-// recency words in strictly descending stamp order.
-func checkSet(t *testing.T, op int, tb *TLB, l *level, ref *refLevel, si int) {
+// checkSet fails unless set si of level l, as captureSet writes it into
+// st for a snapshot, holds what set si of the reference level holds: the
+// same entries in the same slot order, then zeroed slots, and a recency
+// run naming those slots in strictly descending stamp order, then -1. A
+// change to the captured layout fails here too.
+func checkSet(t *testing.T, op int, tb *TLB, l *level, st LevelState, ref *refLevel, si int) {
 	t.Helper()
-	b, n := si*l.ways, int(l.lens[si])
+	l.captureSet(st, tb.pool, si)
+	b, n := si*l.ways, int(st.Lens[si])
 	if want := int(ref.lens[si]); n != want {
 		t.Fatalf("op %d: %s set %d holds %d entries, reference %d", op, l.name, si, n, want)
 	}
 	refSet := ref.store[b : b+n]
-	for j, p := range l.slots[b : b+n] {
-		if got, want := tb.pool[p], refSet[j].Entry; got != want {
+	for j, got := range st.Entries[b : b+l.ways] {
+		var want EntryState
+		if j < n {
+			want = EntryState(refSet[j].Entry)
+		}
+		if got != want {
 			t.Fatalf("op %d: %s set %d slot %d holds %+v, reference %+v", op, l.name, si, j, got, want)
 		}
 	}
 	prev := ^uint64(0)
-	for k, w := range l.words[b : b+n] {
-		// The slot check above pins each pool entry, so the word's
-		// entry names its slot in the reference set.
-		j := int(l.at[w&idxMask])
-		if w>>idxBits != refSet[j].VPN || refSet[j].lru >= prev {
-			t.Fatalf("op %d: %s set %d recency position %d holds VPN %#x, out of the reference's stamp order",
-				op, l.name, si, k, w>>idxBits)
+	for k, s := range st.Recency[b : b+l.ways] {
+		if k >= n {
+			if s != -1 {
+				t.Fatalf("op %d: %s set %d recency position %d of %d holds %d, want -1", op, l.name, si, k, n, s)
+			}
+			continue
 		}
-		prev = refSet[j].lru
+		if s < 0 || int(s) >= n || refSet[s].lru >= prev {
+			t.Fatalf("op %d: %s set %d recency position %d holds slot %d, out of the reference's stamp order",
+				op, l.name, si, k, s)
+		}
+		prev = refSet[s].lru
 	}
 }
 
@@ -345,6 +355,8 @@ func FuzzTLB(f *testing.F) {
 		stats, refStats := sim.NewStats(), sim.NewStats()
 		tb := New(g.l1, g.l2, stats)
 		ref := newRefTLB(g.l1, g.l2, refStats)
+		// One capture of each level, rewritten a set at a time by checkSet.
+		st1, st2 := tb.l1.captureState(tb.pool), tb.l2.captureState(tb.pool)
 
 		var evicted, refEvicted []Entry
 		hookOn := false
@@ -455,15 +467,15 @@ func FuzzTLB(f *testing.F) {
 			}
 			checkHooks(op)
 			if code <= 10 || code == 12 || code == 13 {
-				checkSet(t, op, tb, &tb.l1, ref.l1, tb.l1.setIndex(vpn))
-				checkSet(t, op, tb, &tb.l2, ref.l2, tb.l2.setIndex(vpn))
+				checkSet(t, op, tb, &tb.l1, st1, ref.l1, tb.l1.setIndex(vpn))
+				checkSet(t, op, tb, &tb.l2, st2, ref.l2, tb.l2.setIndex(vpn))
 				continue
 			}
 			for si := 0; si < tb.l1.sets; si++ {
-				checkSet(t, op, tb, &tb.l1, ref.l1, si)
+				checkSet(t, op, tb, &tb.l1, st1, ref.l1, si)
 			}
 			for si := 0; si < tb.l2.sets; si++ {
-				checkSet(t, op, tb, &tb.l2, ref.l2, si)
+				checkSet(t, op, tb, &tb.l2, st2, ref.l2, si)
 			}
 		}
 		var dump, refDump bytes.Buffer

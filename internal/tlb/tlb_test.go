@@ -1,6 +1,7 @@
 package tlb
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -224,6 +225,7 @@ func TestBadGeometryPanics(t *testing.T) {
 		{"no ways", l1, Config{Name: "bad", Entries: 8}, "tlb: bad geometry for bad"},
 		{"no entries", Config{Name: "bad", Entries: 0, Ways: 4}, DefaultConfigL2(), "tlb: bad geometry for bad"},
 		{"pool wider than a tag word", l1, Config{Name: "l2", Entries: 4032, Ways: 12}, "more than 12-bit pool indices"},
+		{"more ways than a recency word orders", l1, Config{Name: "l2", Entries: 34, Ways: 17}, "l2 has 17 ways, more than the 16"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -290,6 +292,30 @@ func BenchmarkTLBChurn(b *testing.B) {
 	tb := NewDefault(sim.NewStats())
 	for i := 0; i < b.N; i++ {
 		vpn := uint64(i % 4096)
+		if e, _ := tb.Lookup(vpn); e == nil {
+			tb.Insert(Entry{VPN: vpn, PFN: vpn})
+		}
+	}
+}
+
+// BenchmarkTLBPromote replays a seeded stream over about 1,000 distinct
+// pages: Lookup, then Insert on a miss, as the core's translate does. The
+// pages fit the STLB but not the 64-entry L1, so most lookups promote an
+// STLB entry and demote the L1 victim into a set that is often full.
+func BenchmarkTLBPromote(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	pages := make([]uint64, 1000)
+	for i := range pages {
+		pages[i] = uint64(rng.Int63n(1 << 24))
+	}
+	stream := make([]uint64, 1<<16)
+	for i := range stream {
+		stream[i] = pages[rng.Intn(len(pages))]
+	}
+	tb := NewDefault(sim.NewStats())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		vpn := stream[i&(len(stream)-1)]
 		if e, _ := tb.Lookup(vpn); e == nil {
 			tb.Insert(Entry{VPN: vpn, PFN: vpn})
 		}
